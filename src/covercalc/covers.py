@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .knots import Knot
 from .polynomials import (
@@ -37,6 +38,10 @@ __all__ = [
     "admissible_primes",
     "hfk_dim_upper",
 ]
+
+# well above the (polynomial, p) pairs one filter run over a table asks for:
+# an LRU cache smaller than a cyclic working set evicts every entry before reuse
+_SKP_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
     if order == 0:
         # vanishing resultant must come from a shared cyclotomic factor
         common = int_poly_gcd(cyc, f)
-        if common.degree < 1:  # pragma: no cover
+        if common.degree < 1:
             raise ArithmeticError("zero resultant without a common factor")
     return CoverOrder(n=n, order=order)
 
@@ -94,11 +99,13 @@ def is_zp_homology_sphere(K: Knot, n: int, p: int) -> bool:
     return gcd_fp(cyc, fbar).degree == 0
 
 
+@lru_cache(maxsize=_SKP_CACHE_SIZE)
 def skp_from_tilde(f: IntPoly, p: int) -> PrimeSet:
     """Obstruction primes from the mod-p irreducible factor degrees of f.
 
     Every prime dividing p**d - 1 for some factor degree d is included; the
-    factor t is stripped first and multiplicities are irrelevant.
+    factor t is stripped first and multiplicities are irrelevant.  Results
+    are cached per (f, p), so each polynomial is factored once per prime.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

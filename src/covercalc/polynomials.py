@@ -9,13 +9,18 @@ The two resultant routines are deliberately independent of each other:
 ``resultant`` runs the subresultant polynomial remainder sequence, while
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
+
+Division and gcd in Z[t] stay in Z as well: ``exact_divide`` is integer long
+division that stops at the first quotient term the leading coefficient does
+not divide, and ``int_poly_gcd`` is a primitive remainder sequence.  Their
+rational (``Fraction``) references live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 
 from .primes import is_prime, prime_factors
@@ -131,8 +136,8 @@ def eval_at(f: IntPoly, x: int) -> int:
     return f(x)
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder: lc(b)**(deg a - deg b + 1) * a  modulo b, coefficient lists
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # pseudo-remainder: lc(b)**(deg a - deg b + 1) * a  modulo b, coefficient sequences
     db = len(b) - 1
     lb = b[-1]
     e = len(a) - 1 - db + 1
@@ -253,23 +258,25 @@ def exact_divide(num: IntPoly, den: IntPoly) -> IntPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
         return IntPoly()
-    if num.degree < den.degree:
-        return None
-    rem = [Fraction(c) for c in num.coeffs]
-    dlc = Fraction(den.lc)
     dd = den.degree
-    quot = [Fraction(0)] * (num.degree - dd + 1)
+    if num.degree < dd:
+        return None
+    rem = list(num.coeffs)
+    dc = den.coeffs
+    quot = [0] * (num.degree - dd + 1)
     for k in range(num.degree - dd, -1, -1):
-        q = rem[dd + k] / dlc
+        # every earlier quotient term was integral, so this one is the same
+        # as over Q: a remainder here means no integral quotient exists
+        q, r = divmod(rem[dd + k], dc[-1])
+        if r:
+            return None
         quot[k] = q
         if q:
-            for i, c in enumerate(den.coeffs):
-                rem[k + i] -= q * c
-    if any(rem):
+            for i in range(dd):
+                rem[k + i] -= q * dc[i]
+    if any(rem[:dd]):
         return None
-    if any(q.denominator != 1 for q in quot):
-        return None
-    return IntPoly(tuple(int(q) for q in quot))
+    return IntPoly(quot)
 
 
 def int_poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -279,21 +286,12 @@ def int_poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if g.is_zero:
         return _positive_primitive(f)
     cont = math.gcd(f.content(), g.content())
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-    while any(b):
-        a, b = b, _frac_mod(a, b)
-    # a is the gcd over Q; rescale to a primitive integer polynomial
-    while a and not a[-1]:
-        a.pop()
-    den = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * den) for c in a]
-    prim = IntPoly(ints)
-    pc = prim.content()
-    prim = IntPoly(tuple(_divexact(c, pc) for c in prim.coeffs))
-    if prim.lc < 0:
-        prim = -prim
-    return IntPoly(tuple(cont * c for c in prim.coeffs))
+    # primitive PRS: each pseudo-remainder is cut back to its primitive part,
+    # and the last nonzero one is the primitive gcd
+    a, b = _positive_primitive(f), _positive_primitive(g)
+    while not b.is_zero:
+        a, b = b, _positive_primitive(IntPoly(_prem(a.coeffs, b.coeffs)))
+    return IntPoly(tuple(cont * c for c in a.coeffs))
 
 
 def _positive_primitive(f: IntPoly) -> IntPoly:
@@ -302,23 +300,6 @@ def _positive_primitive(f: IntPoly) -> IntPoly:
     c = f.content()
     out = IntPoly(tuple(_divexact(x, c) for x in f.coeffs))
     return -out if out.lc < 0 else out
-
-
-def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b and not b[-1]:
-        b.pop()
-    r = list(a)
-    while r and not r[-1]:
-        r.pop()
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        q = r[-1] / b[-1]
-        k = len(r) - 1 - db
-        for i in range(db + 1):
-            r[k + i] -= q * b[i]
-        while r and not r[-1]:
-            r.pop()
-    return r
 
 
 class ModPoly:

@@ -18,6 +18,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# bounds the memory of the is_prime cache in a long-running process
+_IS_PRIME_CACHE_SIZE = 4096
+
 
 def _miller_rabin(n: int, a: int) -> bool:
     # returns True if n passes the strong-pseudoprime test to base a
@@ -34,7 +37,7 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_IS_PRIME_CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for all n below 2**64."""
     if n < 2:
@@ -58,7 +61,8 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n odd composite, not a prime power guard needed
+    # Floyd's cycle variant (y steps twice per step of x); n odd composite,
+    # no prime-power guard needed
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

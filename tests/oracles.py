@@ -2,13 +2,15 @@
 
 Nothing here shares an algorithm with the code under test: determinants are
 plain fraction Gaussian elimination, factorization is exhaustive enumeration
-of irreducibles, primality is trial division.
+of irreducibles, primality is trial division, and division and gcd in Z[t]
+run over Q with ``Fraction`` coefficients.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
-from covercalc.polynomials import ModPoly
+from covercalc.polynomials import IntPoly, ModPoly
 
 
 def det_fraction(matrix) -> Fraction:
@@ -29,6 +31,66 @@ def det_fraction(matrix) -> Fraction:
             for j in range(k, n):
                 m[i][j] -= f * m[k][j]
     return det
+
+
+def exact_divide_fraction(num: IntPoly, den: IntPoly):
+    """num/den by long division over Q; None when the division leaves a
+    remainder or a non-integer quotient coefficient."""
+    if den.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero:
+        return IntPoly()
+    if num.degree < den.degree:
+        return None
+    rem = [Fraction(c) for c in num.coeffs]
+    dd = den.degree
+    quot = [Fraction(0)] * (num.degree - dd + 1)
+    for k in range(num.degree - dd, -1, -1):
+        q = rem[dd + k] / den.lc
+        quot[k] = q
+        for i, c in enumerate(den.coeffs):
+            rem[k + i] -= q * c
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        return None
+    return IntPoly(tuple(int(q) for q in quot))
+
+
+def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    r = list(a)
+    db = len(b) - 1
+    while len(r) - 1 >= db:
+        q = r[-1] / b[-1]
+        k = len(r) - 1 - db
+        for i in range(db + 1):
+            r[k + i] -= q * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _positive_primitive_of(coeffs) -> IntPoly:
+    # clear denominators, divide out the content, make the leading term positive
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = math.gcd(*ints)
+    sign = 1 if ints[-1] > 0 else -1
+    return IntPoly(tuple(sign * (c // content) for c in ints))
+
+
+def int_poly_gcd_fraction(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Gcd in Z[t] by Euclid over Q: the gcd of the contents times the
+    positive primitive gcd; when one argument is zero, the positive primitive
+    part of the other."""
+    if f.is_zero:
+        return _positive_primitive_of(g.coeffs) if not g.is_zero else g
+    if g.is_zero:
+        return _positive_primitive_of(f.coeffs)
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in g.coeffs]
+    while b:
+        a, b = b, _frac_mod(a, b)
+    cont = math.gcd(f.content(), g.content())
+    return IntPoly(tuple(cont * c for c in _positive_primitive_of(a).coeffs))
 
 
 def is_prime_trial(n: int) -> bool:

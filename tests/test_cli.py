@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,17 @@ def test_skp_empty_set():
     code, out = capture(["skp", "unknot", "-p", "7"])
     assert code == 0
     assert "= {}" in out
+
+
+def test_module_entry_point_runs_command():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "covercalc.cli", "skp", "3_1", "-p", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "obstruction primes S(3_1, 2) = {3}" in proc.stdout
 
 
 # ---------------------------------------------------------------- obstruct

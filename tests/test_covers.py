@@ -59,6 +59,14 @@ def test_infinite_order_comes_from_cyclotomic_factor():
     assert common.degree >= 1
 
 
+def test_zero_resultant_without_common_factor_raises(monkeypatch):
+    import covercalc.covers as covers
+
+    monkeypatch.setattr(covers, "resultant", lambda f, g: 0)
+    with pytest.raises(ArithmeticError):
+        order_from_tilde(TABLE.get("3_1").tilde, 5)  # coprime to t**5 - 1
+
+
 def test_cover_order_validation():
     with pytest.raises(ValueError):
         CoverOrder(0, 5)

@@ -8,6 +8,7 @@ from covercalc.obstruct import (
     FAIL,
     PASS,
     SKIPPED,
+    DEFAULT_PRIMES,
     CheckResult,
     alexander_divides,
     fibered_genus_check,
@@ -201,3 +202,21 @@ def test_filter_includes_off_table_target():
     target = Knot(name="granny2", alexander=AlexanderPoly((1, -2, 3, -2, 1)), fibered=True, genus=2)
     got = filter_predecessors(target, sub)
     assert got == ["unknot", "granny2"]
+
+
+def test_filter_factors_each_polynomial_once_per_prime(monkeypatch):
+    import covercalc.covers as covers
+
+    calls = []
+    factor = covers.irreducible_factor_degrees
+
+    def counting(fbar):
+        calls.append(fbar)
+        return factor(fbar)
+
+    monkeypatch.setattr(covers, "irreducible_factor_degrees", counting)
+    covers.skp_from_tilde.cache_clear()
+    for target in TABLE:
+        filter_predecessors(target, TABLE)
+    distinct = {(k.tilde, p) for k in TABLE for p in DEFAULT_PRIMES}
+    assert len(calls) <= len(distinct) <= 30

@@ -17,7 +17,13 @@ from covercalc.polynomials import (
     sylvester_matrix,
 )
 
-from oracles import det_fraction, factor_degrees_exhaustive, monic_irreducibles
+from oracles import (
+    det_fraction,
+    exact_divide_fraction,
+    factor_degrees_exhaustive,
+    int_poly_gcd_fraction,
+    monic_irreducibles,
+)
 
 
 def rand_poly(rng, max_deg=8, max_coeff=20, nonzero=True):
@@ -214,3 +220,68 @@ def test_int_poly_gcd():
     assert int_poly_gcd(IntPoly([2, 2]), IntPoly([4, 4, 4])).coeffs == (2,)
     assert int_poly_gcd(IntPoly([2, 2]), IntPoly([4, 8, 4])).coeffs == (2, 2)
     assert int_poly_gcd(IntPoly(), tref) == tref
+
+
+def _scaled(rng, f):
+    return IntPoly(tuple(rng.choice((-6, -2, 1, 3, 4)) * c for c in f.coeffs))
+
+
+def _division_pairs(rng):
+    yield IntPoly([2, 2]), IntPoly([0, 2])  # (2t+2)/(2t): remainder 2
+    yield IntPoly([2, 2]), IntPoly([2])
+    yield IntPoly([1, 1]), IntPoly([2, 2])  # quotient 1/2
+    yield IntPoly([3, 0, 3]), IntPoly([2, 0, 2])
+    for _ in range(400):
+        f, g = rand_poly(rng, 5, 9), rand_poly(rng, 5, 9)
+        yield _scaled(rng, f * g), _scaled(rng, f)
+        yield f * g + rand_poly(rng, 2, 3, nonzero=False), f
+        yield f, g
+
+
+def test_exact_divide_matches_fraction_reference():
+    rng = random.Random(101)
+    for num, den in _division_pairs(rng):
+        assert exact_divide(num, den) == exact_divide_fraction(num, den), (num, den)
+
+
+def test_int_poly_gcd_matches_fraction_reference():
+    rng = random.Random(102)
+    zero = IntPoly()
+    assert int_poly_gcd(zero, IntPoly([-4, -6])) == int_poly_gcd_fraction(zero, IntPoly([-4, -6]))
+    assert int_poly_gcd(IntPoly([0, -3]), zero) == int_poly_gcd_fraction(IntPoly([0, -3]), zero)
+    for _ in range(300):
+        h = rand_poly(rng, 3, 6)
+        f = _scaled(rng, h * rand_poly(rng, 4, 6))
+        g = _scaled(rng, h * rand_poly(rng, 4, 6))
+        assert int_poly_gcd(f, g) == int_poly_gcd_fraction(f, g), (f, g)
+        assert int_poly_gcd(f, h) == int_poly_gcd_fraction(f, h), (f, h)
+
+
+def _cyclotomic(m):
+    phi = IntPoly.t_power_minus_one(m)
+    for d in range(1, m):
+        if m % d == 0:
+            phi = exact_divide_fraction(phi, _cyclotomic(d))
+    return phi
+
+
+def test_t_power_minus_one_against_palindromics_matches_reference():
+    # palindromic polynomials with cyclotomic factors: the zero-resultant case
+    # of cover orders, where t**n - 1 and the knot polynomial share a factor
+    rng = random.Random(103)
+    palindromics = []
+    for m in (2, 3, 4, 6, 10, 12):
+        for _ in range(2):
+            d = rng.randint(1, 3)
+            tail = [rng.randint(-4, 4) for _ in range(d)]
+            h = IntPoly(list(reversed(tail)) + [rng.randint(-5, 5)] + tail)
+            if not h.is_zero:
+                palindromics.append(_cyclotomic(m) * h)
+    for n in range(1, 41):
+        cyc = IntPoly.t_power_minus_one(n)
+        for f in palindromics:
+            gcd = int_poly_gcd(cyc, f)
+            assert gcd == int_poly_gcd_fraction(cyc, f), (n, f)
+            assert exact_divide(cyc, f) == exact_divide_fraction(cyc, f), (n, f)
+            assert exact_divide(cyc, gcd) == exact_divide_fraction(cyc, gcd), (n, f)
+            assert exact_divide(f, gcd) is not None
