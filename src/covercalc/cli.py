@@ -3,7 +3,8 @@
 Output is deterministic.  Default rendering is aligned text; ``--json``
 emits a machine-readable record carrying everything the text view shows, and
 ``render`` regenerates the exact text view from such a record.  Exit codes:
-0 success, 1 obstruction failure under ``--strict``, 2 usage or data errors.
+0 success, 1 obstruction failure under ``--strict``, 2 usage or data errors
+(a malformed ``render`` payload among them).
 """
 
 from __future__ import annotations
@@ -412,7 +413,16 @@ def run(argv, out=None) -> int:
                 payload = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise CliError(f"invalid JSON payload: {exc}") from None
-            print(render_text(payload), file=out)
+            if not isinstance(payload, dict):
+                raise CliError(f"payload must be a JSON object, got {type(payload).__name__}")
+            try:
+                view = render_text(payload)
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise CliError(
+                    f"malformed {payload.get('command')!r} payload: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from None
+            print(view, file=out)
             return 0
         payload = _COMMANDS[args.command](args)
         if args.json:

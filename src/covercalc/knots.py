@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .polynomials import IntPoly
+from .polynomials import IntPoly, _pencil_det
 
 __all__ = [
     "AlexanderPoly",
@@ -103,40 +103,20 @@ def alexander_mul(a: AlexanderPoly, b: AlexanderPoly) -> AlexanderPoly:
     return AlexanderPoly(tuple(full))
 
 
-def _poly_matrix_det(m: list[list[IntPoly]]) -> IntPoly:
-    # cofactor expansion along the first row; fine for the small matrices here
-    n = len(m)
-    if n == 0:
-        return IntPoly((1,))
-    if n == 1:
-        return m[0][0]
-    total = IntPoly()
-    for j, entry in enumerate(m[0]):
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = entry * _poly_matrix_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
     """Normalize det(V - t*V^T) for a square integer Seifert matrix V.
 
     The determinant is automatically palindromic of even degree after the
     shared t-power is stripped; the sign is flipped so the value at 1 is +1.
-    An empty matrix yields the unknot polynomial.
+    An empty matrix yields the unknot polynomial.  The determinant costs
+    2g + 1 integer Bareiss eliminations, polynomial in the genus g.
     """
     n = len(v)
     if any(len(row) != n for row in v):
         raise KnotTableError("Seifert matrix must be square")
     if n % 2:
         raise KnotTableError("Seifert matrix must have even size 2g")
-    m = [
-        [IntPoly((v[i][j], -v[j][i])) for j in range(n)]
-        for i in range(n)
-    ]
-    det = _poly_matrix_det(m)
+    det = _pencil_det(v, [list(col) for col in zip(*v)])
     if det.is_zero:
         raise KnotTableError("det(V - tV^T) vanishes; not a Seifert matrix")
     full = list(det.coeffs) + [0] * (n + 1 - len(det.coeffs))
@@ -230,6 +210,11 @@ class KnotTable:
 _FIELDS = {"name", "alexander", "genus", "arc_index", "fibered", "seifert"}
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _knot_from_record(rec: dict) -> Knot:
     if not isinstance(rec, dict):
         raise KnotTableError(f"table entry must be an object, got {type(rec).__name__}")
@@ -243,18 +228,18 @@ def _knot_from_record(rec: dict) -> Knot:
     coeffs = rec["alexander"]
     if not isinstance(name, str):
         raise KnotTableError("name must be a string")
-    if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+    if not isinstance(coeffs, list) or not all(_is_int(c) for c in coeffs):
         raise KnotTableError(f"{name}: alexander must be an integer array")
     if not isinstance(rec["fibered"], bool):
         raise KnotTableError(f"{name}: fibered must be a boolean")
     for opt in ("genus", "arc_index"):
-        if opt in rec and not isinstance(rec[opt], int):
+        if opt in rec and not _is_int(rec[opt]):
             raise KnotTableError(f"{name}: {opt} must be an integer")
     seifert = None
     if "seifert" in rec:
         raw = rec["seifert"]
         if not isinstance(raw, list) or not all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row) for row in raw
+            isinstance(row, list) and all(_is_int(x) for x in row) for row in raw
         ):
             raise KnotTableError(f"{name}: seifert must be an array of integer arrays")
         seifert = tuple(tuple(row) for row in raw)

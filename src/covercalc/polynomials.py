@@ -9,6 +9,9 @@ The two resultant routines are deliberately independent of each other:
 ``resultant`` runs the subresultant polynomial remainder sequence, while
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
+``_bareiss_det`` is the package's only determinant: it also gives the
+Seifert polynomial det(V - tV^T), evaluated at integer points and
+interpolated exactly by ``_pencil_det``; ``resultant`` never calls it.
 
 Division and gcd in Z[t] stay in Z as well: ``exact_divide`` is integer long
 division that stops at the first quotient term the leading coefficient does
@@ -227,6 +230,30 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _pencil_det(a: list[list[int]], b: list[list[int]]) -> IntPoly:
+    """det(A - tB) in Z[t] for square integer matrices A, B of size n.
+
+    The determinant has degree at most n, so its values at t = 0..n fix it;
+    each value is a Bareiss determinant, and Newton forward differences
+    rebuild the coefficients exactly (the k-th difference of an integer
+    polynomial at 0 is divisible by k!).
+    """
+    n = len(a)
+    values = [
+        _bareiss_det([[a[i][j] - x * b[i][j] for j in range(n)] for i in range(n)])
+        for x in range(n + 1)
+    ]
+    newton = []
+    for k in range(n + 1):
+        newton.append(_divexact(values[0], math.factorial(k)))
+        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
+    # nested Newton form: c0 + t(c1 + (t - 1)(c2 + (t - 2)(...)))
+    det = IntPoly()
+    for k in range(n, -1, -1):
+        det = det * IntPoly((-k, 1)) + IntPoly((newton[k],))
+    return det
+
+
 def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
     """The (deg f + deg g)-square Sylvester matrix of two nonzero polynomials."""
     if f.is_zero or g.is_zero:
@@ -280,11 +307,14 @@ def exact_divide(num: IntPoly, den: IntPoly) -> IntPoly | None:
 
 
 def int_poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Gcd in Z[t], returned positive: gcd of contents times primitive gcd."""
-    if f.is_zero:
-        return _positive_primitive(g)
-    if g.is_zero:
-        return _positive_primitive(f)
+    """Gcd in Z[t], returned positive: gcd of contents times primitive gcd.
+
+    When one argument is zero the gcd is the other one, content kept, with
+    its leading coefficient made positive; gcd(0, 0) = 0.
+    """
+    if f.is_zero or g.is_zero:
+        h = g if f.is_zero else f
+        return -h if h.coeffs and h.lc < 0 else h
     cont = math.gcd(f.content(), g.content())
     # primitive PRS: each pseudo-remainder is cut back to its primitive part,
     # and the last nonzero one is the primitive gcd

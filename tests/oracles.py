@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the library.
 
-Nothing here shares an algorithm with the code under test: determinants are
-plain fraction Gaussian elimination, factorization is exhaustive enumeration
-of irreducibles, primality is trial division, and division and gcd in Z[t]
-run over Q with ``Fraction`` coefficients.
+Nothing here shares an algorithm with the code under test: integer
+determinants are plain fraction Gaussian elimination, determinants of
+polynomial matrices are cofactor expansion, factorization is exhaustive
+enumeration of irreducibles, primality is trial division, and division and
+gcd in Z[t] run over Q with ``Fraction`` coefficients.
 """
 
 import math
@@ -31,6 +32,24 @@ def det_fraction(matrix) -> Fraction:
             for j in range(k, n):
                 m[i][j] -= f * m[k][j]
     return det
+
+
+def poly_matrix_det_cofactor(m) -> IntPoly:
+    """Determinant of a square matrix of IntPoly entries by cofactor
+    expansion along the first row; O(n!), so only for small n."""
+    n = len(m)
+    if n == 0:
+        return IntPoly((1,))
+    if n == 1:
+        return m[0][0]
+    total = IntPoly()
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = entry * poly_matrix_det_cofactor(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def exact_divide_fraction(num: IntPoly, den: IntPoly):
@@ -79,12 +98,13 @@ def _positive_primitive_of(coeffs) -> IntPoly:
 
 def int_poly_gcd_fraction(f: IntPoly, g: IntPoly) -> IntPoly:
     """Gcd in Z[t] by Euclid over Q: the gcd of the contents times the
-    positive primitive gcd; when one argument is zero, the positive primitive
-    part of the other."""
+    positive primitive gcd; when one argument is zero, the other with its
+    content kept and a positive leading coefficient (gcd(0, 0) = 0)."""
     if f.is_zero:
-        return _positive_primitive_of(g.coeffs) if not g.is_zero else g
+        f, g = g, f
     if g.is_zero:
-        return _positive_primitive_of(f.coeffs)
+        sign = -1 if f.coeffs and f.coeffs[-1] < 0 else 1
+        return IntPoly(tuple(sign * c for c in f.coeffs))
     a = [Fraction(c) for c in f.coeffs]
     b = [Fraction(c) for c in g.coeffs]
     while b:

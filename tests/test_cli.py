@@ -264,3 +264,18 @@ def test_render_rejects_bad_payload(tmp_path):
     path.write_text("not json")
     code, _ = capture(["render", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ['{"command": "cover"}', "[1, 2]", '"x"',
+     '{"command": "skp", "knot": "3_1", "p": 2, "primes": 5}'],
+)
+def test_render_malformed_payload_is_a_data_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    code, out = capture(["render", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -88,6 +89,35 @@ def test_seifert_invariant_under_unimodular_congruence():
             assert alexander_from_seifert(congruate(v, p)) == expected
 
 
+def test_dense_genus_ten_seifert_matrix_loads_fast():
+    # P^T V P with V block diagonal in trefoil and figure-eight blocks and P
+    # unimodular upper triangular: dense, and congruent to V
+    rng = random.Random(10)
+    blocks = [rng.choice(((TREFOIL, [[-1, 1], [0, -1]]), (FIG8, [[1, 1], [0, -1]])))
+              for _ in range(10)]
+    n = 2 * len(blocks)
+    v = [[0] * n for _ in range(n)]
+    for b, (_, m) in enumerate(blocks):
+        for i in range(2):
+            for j in range(2):
+                v[2 * b + i][2 * b + j] = m[i][j]
+    p = [[1 if i == j else (rng.choice((-1, 1)) if j > i else 0) for j in range(n)]
+         for i in range(n)]
+    vp = [[sum(v[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    s = [[sum(p[k][i] * vp[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert sum(x != 0 for row in s for x in row) > n * n // 2
+    expected = UNKNOT
+    for alex, _ in blocks:
+        expected = alexander_mul(expected, alex)
+    doc = [{"name": "g10", "alexander": list(expected.coeffs), "genus": 10,
+            "fibered": True, "seifert": s}]
+    start = time.perf_counter()
+    table = load_table(json.dumps(doc))
+    elapsed = time.perf_counter() - start
+    assert table.get("g10").alexander == expected
+    assert elapsed < 1.0, elapsed
+
+
 # ------------------------------------------------------------- normalization
 
 
@@ -166,6 +196,14 @@ def test_load_table_accepts_valid_entries():
         ({"name": "x", "alexander": [1, -1, 1]}, "missing field"),
         ({"name": "x", "alexander": [1, -1, 1], "fibered": False,
           "seifert": [[1, 1], [0, -1]]}, "Seifert matrix gives"),
+        # JSON booleans are not integers, even though Python's bool is an int
+        ({"name": "x", "alexander": [True], "fibered": False}, "alexander must be an integer"),
+        ({"name": "x", "alexander": [1, -1, 1], "genus": True, "fibered": False},
+         "genus must be an integer"),
+        ({"name": "x", "alexander": [1, -1, 1], "arc_index": True, "fibered": False},
+         "arc_index must be an integer"),
+        ({"name": "x", "alexander": [1, -1, 1], "fibered": False,
+          "seifert": [[-1, True], [False, -1]]}, "seifert must be an array of integer"),
     ],
 )
 def test_load_table_rejects_bad_entries(entry, message):

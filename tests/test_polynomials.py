@@ -15,6 +15,7 @@ from covercalc.polynomials import (
     resultant_sylvester,
     squarefree_part,
     sylvester_matrix,
+    _pencil_det,
 )
 
 from oracles import (
@@ -23,6 +24,7 @@ from oracles import (
     factor_degrees_exhaustive,
     int_poly_gcd_fraction,
     monic_irreducibles,
+    poly_matrix_det_cofactor,
 )
 
 
@@ -222,6 +224,19 @@ def test_int_poly_gcd():
     assert int_poly_gcd(IntPoly(), tref) == tref
 
 
+def test_int_poly_gcd_with_zero_keeps_content():
+    two_t_plus_two = IntPoly([2, 2])
+    cases = [
+        (IntPoly(), two_t_plus_two, two_t_plus_two),
+        (IntPoly([-2, -2]), IntPoly(), two_t_plus_two),
+        (IntPoly(), IntPoly(), IntPoly()),
+    ]
+    for f, g, expected in cases:
+        assert int_poly_gcd(f, g) == expected, (f, g)
+        assert int_poly_gcd_fraction(f, g) == expected, (f, g)
+    assert int_poly_gcd(two_t_plus_two, two_t_plus_two) == two_t_plus_two
+
+
 def _scaled(rng, f):
     return IntPoly(tuple(rng.choice((-6, -2, 1, 3, 4)) * c for c in f.coeffs))
 
@@ -285,3 +300,51 @@ def test_t_power_minus_one_against_palindromics_matches_reference():
             assert exact_divide(cyc, f) == exact_divide_fraction(cyc, f), (n, f)
             assert exact_divide(cyc, gcd) == exact_divide_fraction(cyc, gcd), (n, f)
             assert exact_divide(f, gcd) is not None
+
+
+# ------------------------------------------------------------ pencil determinant
+
+
+def _random_square(rng, n, lo, hi):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def _seifert_cases(rng):
+    # raw det(V - tV^T), compared before any normalisation: arbitrary V,
+    # singular V, symmetric V, and symmetric singular V, whose pencil
+    # (1 - t)V vanishes identically
+    for n in range(7):
+        for _ in range(40):
+            yield _random_square(rng, n, -3, 3)
+            yield _random_square(rng, n, -1, 1)
+        for _ in range(10):
+            v = _random_square(rng, n, -3, 3)
+            if n >= 2:
+                v[-1] = [2 * x - y for x, y in zip(v[0], v[1])]
+            yield v
+            sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
+            yield sym
+            if n:
+                yield [row[:-1] + [0] for row in sym[:-1]] + [[0] * n]
+
+
+def test_pencil_det_matches_cofactor_oracle_on_seifert_pencils():
+    rng = random.Random(314)
+    vanishing = 0
+    for v in _seifert_cases(rng):
+        n = len(v)
+        vt = [list(col) for col in zip(*v)]
+        pencil = [[IntPoly((v[i][j], -v[j][i])) for j in range(n)] for i in range(n)]
+        det = _pencil_det(v, vt)
+        assert det == poly_matrix_det_cofactor(pencil), v
+        vanishing += det.is_zero
+    assert vanishing >= 60
+
+
+def test_pencil_det_matches_cofactor_oracle_on_general_pencils():
+    rng = random.Random(315)
+    for n in range(7):
+        for _ in range(25):
+            a, b = _random_square(rng, n, -4, 4), _random_square(rng, n, -4, 4)
+            pencil = [[IntPoly((a[i][j], -b[i][j])) for j in range(n)] for i in range(n)]
+            assert _pencil_det(a, b) == poly_matrix_det_cofactor(pencil), (a, b)
