@@ -55,10 +55,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _check_primes(ps) -> list[int]:
+    # a repeated -p is asked once: ids and columns stay one per prime
     for p in ps:
         if not is_prime(p):
             raise CliError(f"-p {p}: not a prime")
-    return list(ps)
+    return list(dict.fromkeys(ps))
 
 
 # ---------------------------------------------------------------- commands

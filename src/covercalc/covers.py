@@ -23,7 +23,7 @@ from .polynomials import (
     irreducible_factor_degrees,
     resultant,
 )
-from .primes import PrimeSet, is_prime, prime_factors, primes_up_to
+from .primes import _CACHE_SIZE, PrimeSet, is_prime, prime_factors, primes_up_to
 
 __all__ = [
     "CoverOrder",
@@ -38,11 +38,6 @@ __all__ = [
     "admissible_primes",
     "hfk_dim_upper",
 ]
-
-# well above the (polynomial, p) pairs one filter run over a table asks for:
-# an LRU cache smaller than a cyclic working set evicts every entry before reuse
-_SKP_CACHE_SIZE = 4096
-
 
 @dataclass(frozen=True)
 class CoverOrder:
@@ -76,9 +71,15 @@ def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
     return CoverOrder(n=n, order=order)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cached_order(f: IntPoly, n: int) -> CoverOrder:
+    return order_from_tilde(f, n)
+
+
 def fox_order(K: Knot, n: int) -> CoverOrder:
-    """Order of H1 of the n-fold branched cyclic cover of the knot."""
-    return order_from_tilde(K.tilde, n)
+    """Order of H1 of the n-fold branched cyclic cover of the knot;
+    computed once per (polynomial, n)."""
+    return _cached_order(K.tilde, n)
 
 
 def is_zp_homology_sphere(K: Knot, n: int, p: int) -> bool:
@@ -99,23 +100,35 @@ def is_zp_homology_sphere(K: Knot, n: int, p: int) -> bool:
     return gcd_fp(cyc, fbar).degree == 0
 
 
-@lru_cache(maxsize=_SKP_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _unit_group_primes(p: int, d: int) -> PrimeSet:
+    # the primes dividing p**d - 1, the order of the unit group of F_(p**d)
+    return prime_factors(p**d - 1)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _skp_of_reduction(fbar: ModPoly) -> PrimeSet:
+    out = PrimeSet(())
+    for d in irreducible_factor_degrees(fbar).degrees():
+        out = out.union(_unit_group_primes(fbar.p, d))
+    return out
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def skp_from_tilde(f: IntPoly, p: int) -> PrimeSet:
     """Obstruction primes from the mod-p irreducible factor degrees of f.
 
     Every prime dividing p**d - 1 for some factor degree d is included; the
     factor t is stripped first and multiplicities are irrelevant.  Results
-    are cached per (f, p), so each polynomial is factored once per prime.
+    are cached per (f, p); the set depends only on f mod p, so each
+    reduction mod p is factored once, and each p**d - 1 once per (p, d).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     fbar = ModPoly.reduce(f, p)
     if fbar.is_zero:
         raise ValueError(f"polynomial vanishes identically mod {p}; bad data")
-    out = PrimeSet(())
-    for d in irreducible_factor_degrees(fbar).degrees():
-        out = out.union(prime_factors(p**d - 1))
-    return out
+    return _skp_of_reduction(fbar)
 
 
 def skp_set(K: Knot, p: int) -> PrimeSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -172,8 +173,9 @@ class Knot:
                     f"table says {list(self.alexander.coeffs)}"
                 )
 
-    @property
+    @cached_property
     def tilde(self) -> IntPoly:
+        # kept in the instance dict, which the frozen dataclass still has
         return tilde(self.alexander)
 
 

@@ -15,11 +15,12 @@ Check ids are stable: ``alex_div``, ``fib_genus``, ``skp_subset:<p>``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .covers import admissible, fox_order, skp_set
 from .knots import Knot, KnotTable
-from .polynomials import exact_divide
-from .primes import PrimeSet, is_prime
+from .polynomials import IntPoly, exact_divide
+from .primes import _CACHE_SIZE, PrimeSet, is_prime
 
 __all__ = [
     "PASS",
@@ -86,9 +87,15 @@ class ObstructionReport:
         }
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _divides(num: IntPoly, den: IntPoly) -> bool:
+    return exact_divide(num, den) is not None
+
+
 def alexander_divides(J: Knot, K: Knot) -> bool:
-    """Gilmer divisibility: the polynomial of J divides that of K in Z[t]."""
-    return exact_divide(K.tilde, J.tilde) is not None
+    """Gilmer divisibility: the polynomial of J divides that of K in Z[t];
+    decided once per pair of polynomials."""
+    return _divides(K.tilde, J.tilde)
 
 
 def fibered_genus_check(J: Knot, K: Knot) -> CheckResult:
@@ -144,7 +151,7 @@ def obstruct(
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    primes_p = tuple(primes_p)
+    primes_p = tuple(dict.fromkeys(primes_p))  # repeats would repeat check ids
     checks: list[CheckResult] = []
     if alexander_divides(J, K):
         checks.append(CheckResult("alex_div", PASS, "exact division in Z[t]"))
@@ -155,10 +162,14 @@ def obstruct(
     for p in primes_p:
         checks.append(skp_containment(J, K, p))
         union = union.union(skp_set(K, p))
-    for n in range(1, max_n + 1):
-        if admissible(n, union):
-            checks.append(h1_order_divisibility(J, K, n))
+    for n in _admissible_indices(union, max_n):
+        checks.append(h1_order_divisibility(J, K, n))
     return ObstructionReport(candidate=(J.name, K.name), checks=tuple(checks))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _admissible_indices(union: PrimeSet, max_n: int) -> tuple[int, ...]:
+    return tuple(n for n in range(1, max_n + 1) if admissible(n, union))
 
 
 def filter_predecessors(

@@ -17,6 +17,16 @@ Division and gcd in Z[t] stay in Z as well: ``exact_divide`` is integer long
 division that stops at the first quotient term the leading coefficient does
 not divide, and ``int_poly_gcd`` is a primitive remainder sequence.  Their
 rational (``Fraction``) references live in ``tests/oracles.py``.
+
+``irreducible_factor_degrees`` runs distinct-degree factorization on plain
+ints, not on ``ModPoly``: over F_2 a polynomial is a bitmask, and over odd p
+its residues sit in fixed-width slots of one int, so that a product of
+polynomials is one integer product and one elimination step is a few
+integer operations.  There is no squarefree pass.  When the factors of
+degree d turn up as g = gcd(v, t**(p**d) - t), every power of them is
+divided out of v, so the rest of v has only factors of degree above d and
+the usual stop rule (deg v < 2(d + 1) means v is irreducible) still holds.
+The squarefree-part algorithm on ``ModPoly`` is its test oracle.
 """
 
 from __future__ import annotations
@@ -356,10 +366,6 @@ class ModPoly:
         """The image of an integer polynomial in F_p[t]."""
         return cls(p, f.coeffs)
 
-    @classmethod
-    def x(cls, p: int) -> "ModPoly":
-        return cls(p, (0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -440,37 +446,6 @@ class ModPoly:
         inv = pow(self.lc, -1, self.p)
         return self._new(c * inv for c in self.coeffs)
 
-    def pow_mod(self, e: int, modulus: "ModPoly") -> "ModPoly":
-        """self**e reduced mod modulus, by square-and-multiply."""
-        result = self._new((1,))
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = result * base % modulus
-            base = base * base % modulus
-            e >>= 1
-        return result
-
-    def derivative(self) -> "ModPoly":
-        return self._new(i * c for i, c in enumerate(self.coeffs[1:], start=1))
-
-    def pth_root(self) -> "ModPoly":
-        """The p-th root of a polynomial of the form g(t**p) (Frobenius is
-        the identity on F_p, so coefficients carry over unchanged)."""
-        p = self.p
-        if any(c and i % p for i, c in enumerate(self.coeffs)):
-            raise ValueError("polynomial is not a p-th power")
-        return self._new(self.coeffs[::p])
-
-    def strip_t_power(self) -> tuple["ModPoly", int]:
-        """Factor out the largest power of t; returns (quotient, exponent)."""
-        if self.is_zero:
-            return self, 0
-        a = 0
-        while self.coeffs[a] == 0:
-            a += 1
-        return self._new(self.coeffs[a:]), a
-
     def __str__(self) -> str:
         return f"{list(self.coeffs)} (mod {self.p})"
 
@@ -485,8 +460,9 @@ def gcd_fp(f: ModPoly, g: ModPoly) -> ModPoly:
 
 @dataclass(frozen=True)
 class DegreeMultiset:
-    """Degrees of the distinct irreducible factors of a squarefree polynomial,
-    as (degree, count) pairs with degrees strictly increasing."""
+    """Degrees of the distinct irreducible factors of a polynomial, each
+    factor counted once, as (degree, count) pairs with degrees strictly
+    increasing."""
 
     entries: tuple[tuple[int, int], ...]
 
@@ -510,62 +486,203 @@ class DegreeMultiset:
         return len(self.entries)
 
 
-def squarefree_part(f: ModPoly) -> ModPoly:
-    """Product of the distinct monic irreducible factors of f (any nonzero f).
+# ---------------------------------------------- factor degrees over F_p
+#
+# The kernel's two fields offer the same operations on plain ints; ``rem``
+# divides by a monic polynomial unless told the inverse of the leading
+# coefficient.
 
-    Characteristic p needs care beyond f/gcd(f, f'): factors whose
-    multiplicity is divisible by p survive the gcd intact and are recovered
-    through a p-th root.
+
+class _F2:
+    """F_2[t] on int bitmasks: bit i is the coefficient of t**i."""
+
+    x = 0b10
+
+    @staticmethod
+    def pack(coeffs) -> int:
+        return int("".join(map(str, reversed(coeffs))), 2)
+
+    @staticmethod
+    def degree(a: int) -> int:
+        return a.bit_length() - 1
+
+    @staticmethod
+    def minus_x(a: int) -> int:
+        return a ^ 0b10
+
+    @staticmethod
+    def divmod(a: int, b: int) -> tuple[int, int]:
+        q = 0
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            q |= 1 << (da - db)
+            a ^= b << (da - db)
+        return q, a
+
+    @staticmethod
+    def rem(a: int, b: int) -> int:
+        return _F2.divmod(a, b)[1]
+
+    @staticmethod
+    def gcd(a: int, b: int) -> int:
+        while b:
+            a, b = b, _F2.rem(a, b)
+        return a
+
+    @staticmethod
+    def divide_out(v: int, g: int) -> tuple[int, int]:
+        """v with every power of g divided out, and v mod g."""
+        while True:
+            q, r = _F2.divmod(v, g)
+            if r:
+                return v, r
+            v = q
+
+    @staticmethod
+    def frobenius(h: int, v: int) -> int:
+        # squaring over F_2 spreads bit i to bit 2i
+        return _F2.rem(int("0".join(format(h, "b")), 2), v)
+
+
+class _Fp:
+    """F_p[t] for odd p on packed ints: the coefficient of t**i is slot i,
+    bits [w*i, w*(i+1)).  A reduced polynomial has every slot in [0, p) and
+    a nonzero top slot; between reductions a slot may grow to ``x_max``.
+
+    Slots never borrow or carry: products of reduced polynomials of degree
+    below n add at most n terms below p**2 per slot, and an elimination step
+    adds p*(p - 1), a multiple of p, before it subtracts at most (p - 1)**2;
+    at most n steps touch a slot between two reductions.
+    ``_reduce`` takes every slot mod p at once by Barrett division: with
+    m = ceil(2**s / p) and x_max*p < 2**s, (x*m) >> s is floor(x/p) for
+    every x <= x_max, and x*m < 2**w keeps it inside its slot.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    f = f.monic()
-    if f.degree <= 0:
-        return f._new((1,))
-    df = f.derivative()
-    if df.is_zero:
-        return squarefree_part(f.pth_root())
-    g = gcd_fp(f, df)
-    w = f // g
-    # w covers every factor whose multiplicity is prime to p; peel those out
-    # of g until only p-th-power content remains
-    while True:
-        h = gcd_fp(g, w)
-        if h.degree <= 0:
-            break
-        g = g // h
-    if g.degree <= 0:
-        return w
-    return w * squarefree_part(g.pth_root())
+
+    def __init__(self, p: int, n: int):
+        # n bounds the degree of every polynomial the kernel will see
+        self.p = p
+        x_max = (n + 2) * p * p
+        self.s = (x_max * p).bit_length()
+        self.w = self.s + x_max.bit_length()
+        self.m = -(-(1 << self.s) // p)
+        # a 1 in each of the 2n + 1 slots that products and remainders use
+        self.ones = ones = ((1 << (self.w * (2 * n + 1))) - 1) // ((1 << self.w) - 1)
+        self.qmask = ((1 << (self.w - self.s)) - 1) * ones
+        self.bias = p * (p - 1) * ones
+        self.x = 1 << self.w
+
+    def _reduce(self, a: int) -> int:
+        return a - self.p * (((a * self.m) >> self.s) & self.qmask)
+
+    def pack(self, coeffs) -> int:
+        """The monic multiple of a residue sequence, packed."""
+        a = 0
+        for c in reversed(coeffs):
+            a = (a << self.w) | c
+        return self._reduce(a * pow(coeffs[-1], -1, self.p))
+
+    def degree(self, a: int) -> int:
+        return (a.bit_length() - 1) // self.w
+
+    def minus_x(self, a: int) -> int:
+        return self._reduce(a + (self.p - 1) * self.x)
+
+    def rem(self, a: int, b: int, inv: int = 1) -> int:
+        """a mod b, where inv = 1/lc(b)."""
+        p, w = self.p, self.w
+        db = (b.bit_length() - 1) // w
+        low = (1 << (w * db)) - 1
+        blow, bias = b & low, self.bias & low
+        for k in range((a.bit_length() - 1) // w, db - 1, -1):
+            sh = w * k
+            c = (a >> sh) * inv % p
+            a &= (1 << sh) - 1
+            if c:
+                a += (bias - c * blow) << (sh - w * db)
+        # _reduce, inlined: this is the kernel's most frequent call
+        return a - p * (((a * self.m) >> self.s) & self.qmask)
+
+    def gcd(self, a: int, b: int) -> int:
+        """Monic gcd of a and b, not both zero."""
+        p, w = self.p, self.w
+        while b:
+            inv = pow(b >> (w * ((b.bit_length() - 1) // w)), -1, p)
+            a, b = b, self.rem(a, b, inv)
+        inv = pow(a >> (w * ((a.bit_length() - 1) // w)), -1, p)
+        return self._reduce(a * inv)
+
+    def divide_out(self, v: int, g: int) -> tuple[int, int]:
+        """v with every power of g divided out, and some r with
+        gcd(g, r) = gcd(g, v) and deg r < deg g; needs g(0) != 0.
+
+        With k = deg v - deg g + 1, q = v * (1/g mod t**k) mod t**k is the
+        quotient v/g if g divides v, so each division is two products, and
+        multiplying back tells whether g divided v.  If not, v - q*g is
+        t**k * r, and t is prime to g.
+        """
+        p, w = self.p, self.w
+        dg = self.degree(g)
+        k = self.degree(v) - dg + 1
+        # 1/g mod t**k by Newton iteration: y <- y * (2 - g*y)
+        y, prec = pow(g & ((1 << w) - 1), -1, p), 1
+        while prec < k:
+            prec = min(2 * prec, k)
+            mask = (1 << (w * prec)) - 1
+            e = self._reduce(g * y) & mask
+            y = self._reduce(y * self._reduce((self.ones & mask) * p + 2 - e)) & mask
+        while k > 0:
+            q = self._reduce(v * y) & ((1 << (w * k)) - 1)
+            qg = self._reduce(q * g)
+            if qg != v:
+                return v, self._reduce(v + self.ones * p - qg) >> (w * k)
+            v = q
+            k -= dg
+        return v, v
+
+    def frobenius(self, h: int, v: int) -> int:
+        # h**p mod v by left-to-right square-and-multiply; the product of
+        # two packed ints is the packed product of the polynomials
+        result = h
+        for bit in bin(self.p)[3:]:
+            result = self.rem(self._reduce(result * result), v)
+            if bit == "1":
+                result = self.rem(self._reduce(result * h), v)
+        return result
 
 
 def irreducible_factor_degrees(f: ModPoly) -> DegreeMultiset:
     """Degrees of the distinct irreducible factors of f other than t.
 
-    Strips the t**a factor, passes to the squarefree part, then runs
-    distinct-degree factorization; multiplicities in f are deliberately
-    collapsed to one per distinct factor.
+    Distinct-degree factorization with no squarefree pass.  Once the
+    factors of degree d are found as g = gcd(v, t**(p**d) - t), every power
+    of them is divided out of v, so what is left of v has only factors of
+    degree above d; when deg v < 2(d + 1) it is therefore irreducible (or
+    1).  Over F_2 polynomials are int bitmasks and Frobenius spreads bits;
+    over odd p they are packed ints and Frobenius is square-and-multiply.
+    Multiplicities in f are collapsed to one per distinct factor.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    core, _ = f.strip_t_power()
-    sf = squarefree_part(core)
-    if sf.degree <= 0:
-        return DegreeMultiset(())
-    p = f.p
+    coeffs = f.coeffs
+    coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
+    field = _F2 if f.p == 2 else _Fp(f.p, len(coeffs))
+    v = field.pack(coeffs)
+    x = field.x
+    h = field.rem(x, v)
     entries = []
-    v = sf
-    h = ModPoly.x(p) % v
-    x = ModPoly.x(p)
     d = 0
-    while v.degree >= 2 * (d + 1):
+    while field.degree(v) >= 2 * (d + 1):
         d += 1
-        h = h.pow_mod(p, v)
-        g = gcd_fp(v, h - x)
-        if g.degree > 0:
-            entries.append((d, g.degree // d))
-            v = v // g
-            h = h % v
-    if v.degree > 0:
-        entries.append((v.degree, 1))
+        h = field.frobenius(h, v)
+        g = field.gcd(v, field.minus_x(h))
+        if field.degree(g) > 0:
+            entries.append((d, field.degree(g) // d))
+            while field.degree(g) > d:
+                v, r = field.divide_out(v, g)
+                g = field.gcd(g, r)  # the factors of g left in v
+            if field.degree(g) == d:  # one irreducible factor is left
+                v = field.divide_out(v, g)[0]
+            h = field.rem(h, v)
+    if field.degree(v) > 0:
+        entries.append((field.degree(v), 1))
     return DegreeMultiset(tuple(entries))

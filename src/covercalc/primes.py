@@ -18,8 +18,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# bounds the memory of the is_prime cache in a long-running process
-_IS_PRIME_CACHE_SIZE = 4096
+# bounds the memory of every memo cache in the package in a long-running
+# process, and is well above the working set of one filter run over a table:
+# an LRU cache smaller than a cyclic working set evicts every entry before reuse
+_CACHE_SIZE = 4096
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -37,7 +39,7 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=_IS_PRIME_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for all n below 2**64."""
     if n < 2:
@@ -128,7 +130,11 @@ class PrimeSet:
         return set(self.primes) <= set(other.primes)
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet.of(self.primes + other.primes)
+        # both operands are already validated, so the primality checks of
+        # __post_init__ are skipped
+        out = object.__new__(PrimeSet)
+        object.__setattr__(out, "primes", tuple(sorted(set(self.primes + other.primes))))
+        return out
 
     def product(self) -> int:
         return math.prod(self.primes)

@@ -4,14 +4,17 @@ Nothing here shares an algorithm with the code under test: integer
 determinants are plain fraction Gaussian elimination, determinants of
 polynomial matrices are cofactor expansion, factorization is exhaustive
 enumeration of irreducibles, primality is trial division, and division and
-gcd in Z[t] run over Q with ``Fraction`` coefficients.
+gcd in Z[t] run over Q with ``Fraction`` coefficients.  The factor degrees
+over F_p also have a second reference on ``ModPoly``: the squarefree part
+(with the p-th-root step of characteristic p) followed by the textbook
+distinct-degree factorization.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
-from covercalc.polynomials import IntPoly, ModPoly
+from covercalc.polynomials import DegreeMultiset, IntPoly, ModPoly, gcd_fp
 
 
 def det_fraction(matrix) -> Fraction:
@@ -159,3 +162,90 @@ def factor_degrees_exhaustive(f: ModPoly, irreducibles=None):
         assert f.degree <= 2 * max_listed + 1, f"oracle cannot certify degree {f.degree}"
         seen[f.degree] = seen.get(f.degree, 0) + 1
     return tuple(sorted(seen.items()))
+
+
+def _pow_mod(f: ModPoly, e: int, modulus: ModPoly) -> ModPoly:
+    # f**e reduced mod modulus, by square-and-multiply
+    result = ModPoly(f.p, (1,))
+    base = f % modulus
+    while e:
+        if e & 1:
+            result = result * base % modulus
+        base = base * base % modulus
+        e >>= 1
+    return result
+
+
+def _derivative(f: ModPoly) -> ModPoly:
+    return ModPoly(f.p, [i * c for i, c in enumerate(f.coeffs[1:], start=1)])
+
+
+def _pth_root(f: ModPoly) -> ModPoly:
+    # the p-th root of g(t**p): Frobenius is the identity on F_p, so the
+    # coefficients carry over unchanged
+    p = f.p
+    if any(c and i % p for i, c in enumerate(f.coeffs)):
+        raise ValueError("polynomial is not a p-th power")
+    return ModPoly(p, f.coeffs[::p])
+
+
+def strip_t_power(f: ModPoly) -> ModPoly:
+    """f with its largest power of t divided out."""
+    a = 0
+    while f.coeffs[a] == 0:
+        a += 1
+    return ModPoly(f.p, f.coeffs[a:])
+
+
+def squarefree_part(f: ModPoly) -> ModPoly:
+    """Product of the distinct monic irreducible factors of f (any nonzero f).
+
+    Characteristic p needs care beyond f/gcd(f, f'): factors whose
+    multiplicity is divisible by p survive the gcd intact and are recovered
+    through a p-th root.
+    """
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    f = f.monic()
+    if f.degree <= 0:
+        return ModPoly(f.p, (1,))
+    df = _derivative(f)
+    if df.is_zero:
+        return squarefree_part(_pth_root(f))
+    g = gcd_fp(f, df)
+    w = f // g
+    # w covers every factor whose multiplicity is prime to p; peel those out
+    # of g until only p-th-power content remains
+    while True:
+        h = gcd_fp(g, w)
+        if h.degree <= 0:
+            break
+        g = g // h
+    if g.degree <= 0:
+        return w
+    return w * squarefree_part(_pth_root(g))
+
+
+def irreducible_factor_degrees_sqfree(f: ModPoly) -> DegreeMultiset:
+    """Degrees of the distinct irreducible factors of f other than t: strip
+    t**a, pass to the squarefree part, then distinct-degree factorization
+    with ``ModPoly`` arithmetic."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    v = squarefree_part(strip_t_power(f))
+    p = f.p
+    x = ModPoly(p, (0, 1))
+    h = x % v
+    entries = []
+    d = 0
+    while v.degree >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, v)
+        g = gcd_fp(v, h - x)
+        if g.degree > 0:
+            entries.append((d, g.degree // d))
+            v = v // g
+            h = h % v
+    if v.degree > 0:
+        entries.append((v.degree, 1))
+    return DegreeMultiset(tuple(entries))

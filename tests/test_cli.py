@@ -93,6 +93,25 @@ def test_obstruct_wording_never_claims_concordance():
     assert "no claim" in out
 
 
+def test_obstruct_repeated_prime_is_checked_once():
+    code, out = capture(["obstruct", "3_1", "granny", "-p", "2", "-p", "2"])
+    assert code == 0
+    assert out.count("skp_subset:2") == 1
+    assert out == capture(["obstruct", "3_1", "granny", "-p", "2"])[1]
+    code, out = capture(["obstruct", "3_1", "granny", "-p", "3", "-p", "2", "-p", "3", "--json"])
+    payload = json.loads(out)
+    assert payload["params"]["primes"] == [3, 2]
+    ids = [c["id"] for c in payload["report"]["checks"]]
+    assert ids.count("skp_subset:3") == 1 and ids.index("skp_subset:3") < ids.index("skp_subset:2")
+
+
+def test_cover_repeated_prime_gives_one_column():
+    code, out = capture(["cover", "3_1", "--n", "3..4", "-p", "2", "-p", "2"])
+    assert code == 0
+    assert out.count("Z/2-sphere") == 1
+    assert out == capture(["cover", "3_1", "--n", "3..4", "-p", "2"])[1]
+
+
 # ------------------------------------------------------------------ filter
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from covercalc.covers import (
 )
 from covercalc.knots import bundled_table
 from covercalc.polynomials import IntPoly, int_poly_gcd, resultant_sylvester
-from covercalc.primes import PrimeSet
+from covercalc.primes import PrimeSet, prime_factors
 
 TABLE = bundled_table()
 
@@ -223,3 +224,14 @@ def test_hfk_dim_upper_validation():
         hfk_dim_upper(1, 2)
     with pytest.raises(ValueError):
         hfk_dim_upper(3, 0)
+
+
+def test_skp_at_a_ten_digit_prime_is_quick():
+    # Frobenius is square-and-multiply: nothing of size p is allocated
+    p = 1_000_000_007
+    skp_from_tilde.cache_clear()
+    start = time.perf_counter()
+    s = skp_set(TABLE.get("3_1"), p)
+    assert time.perf_counter() - start < 1.0
+    # p = 2 mod 3, so t^2 - t + 1 has no root mod p and stays irreducible
+    assert s == prime_factors(p**2 - 1)

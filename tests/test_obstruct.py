@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -220,3 +221,80 @@ def test_filter_factors_each_polynomial_once_per_prime(monkeypatch):
         filter_predecessors(target, TABLE)
     distinct = {(k.tilde, p) for k in TABLE for p in DEFAULT_PRIMES}
     assert len(calls) <= len(distinct) <= 30
+
+
+def _filter_all_targets():
+    for target in TABLE:
+        filter_predecessors(target, TABLE)
+
+
+def test_filter_divides_each_pair_of_polynomials_once(monkeypatch):
+    # the package re-exports the function obstruct under the submodule's name
+    ob = importlib.import_module("covercalc.obstruct")
+    calls = []
+    divide = ob.exact_divide
+
+    def counting(num, den):
+        calls.append((num, den))
+        return divide(num, den)
+
+    monkeypatch.setattr(ob, "exact_divide", counting)
+    ob._divides.cache_clear()
+    _filter_all_targets()
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= {(k.tilde, j.tilde) for k in TABLE for j in TABLE}
+
+
+def test_filter_computes_each_cover_order_once(monkeypatch):
+    import covercalc.covers as covers
+
+    calls = []
+    order = covers.order_from_tilde
+
+    def counting(f, n):
+        calls.append((f, n))
+        return order(f, n)
+
+    monkeypatch.setattr(covers, "order_from_tilde", counting)
+    covers._cached_order.cache_clear()
+    _filter_all_targets()
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_filter_factors_each_unit_group_order_once(monkeypatch):
+    import covercalc.covers as covers
+
+    calls = []
+    factor = covers.prime_factors
+
+    def counting(m):
+        calls.append(m)
+        return factor(m)
+
+    monkeypatch.setattr(covers, "prime_factors", counting)
+    covers._unit_group_primes.cache_clear()
+    covers._skp_of_reduction.cache_clear()
+    covers.skp_from_tilde.cache_clear()
+    _filter_all_targets()
+    assert calls
+    # each call factors p**d - 1 for one (p, d); distinct (p, d) give distinct values
+    assert len(calls) == len(set(calls))
+    assert all(any(_is_power_of(m + 1, p) for p in DEFAULT_PRIMES) for m in calls)
+
+
+def _is_power_of(x, p):
+    while x % p == 0:
+        x //= p
+    return x == 1
+
+
+def test_obstruct_asks_each_prime_once():
+    J, K_ = K("3_1"), K("granny")
+    twice = obstruct(J, K_, primes_p=(3, 2, 3, 2))
+    once = obstruct(J, K_, primes_p=(3, 2))
+    assert twice == once
+    ids = [c.check_id for c in twice.checks]
+    assert ids.count("skp_subset:3") == 1 and ids.count("skp_subset:2") == 1
+    assert ids.index("skp_subset:3") < ids.index("skp_subset:2")

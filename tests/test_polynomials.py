@@ -13,7 +13,6 @@ from covercalc.polynomials import (
     irreducible_factor_degrees,
     resultant,
     resultant_sylvester,
-    squarefree_part,
     sylvester_matrix,
     _pencil_det,
 )
@@ -23,8 +22,11 @@ from oracles import (
     exact_divide_fraction,
     factor_degrees_exhaustive,
     int_poly_gcd_fraction,
+    irreducible_factor_degrees_sqfree,
     monic_irreducibles,
     poly_matrix_det_cofactor,
+    squarefree_part,
+    strip_t_power,
 )
 
 
@@ -165,8 +167,7 @@ def test_factor_degree_sum_matches_squarefree_part():
     for _ in range(150):
         p = rng.choice([2, 3, 5])
         f = ModPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1])
-        core, _ = f.strip_t_power()
-        expected = squarefree_part(core).degree
+        expected = squarefree_part(strip_t_power(f)).degree
         assert irreducible_factor_degrees(f).total_degree() == expected
 
 
@@ -348,3 +349,39 @@ def test_pencil_det_matches_cofactor_oracle_on_general_pencils():
             a, b = _random_square(rng, n, -4, 4), _random_square(rng, n, -4, 4)
             pencil = [[IntPoly((a[i][j], -b[i][j])) for j in range(n)] for i in range(n)]
             assert _pencil_det(a, b) == poly_matrix_det_cofactor(pencil), (a, b)
+
+
+def _random_factored(rng, p, max_degree):
+    """A product of random factors over F_p with repeats, p-th powers and a
+    power of t, of degree at most max_degree."""
+    f = ModPoly(p, [1])
+    for _ in range(rng.randint(1, 5)):
+        k = rng.randint(1, 6)
+        g = ModPoly(p, [rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)])
+        e = rng.choice([1, 1, 2, 3, p])
+        if f.degree + e * g.degree > max_degree:
+            continue
+        for _ in range(e):
+            f = f * g
+    a = rng.choice([0, 0, 1, 3])
+    if f.degree + a <= max_degree:
+        f = f * ModPoly(p, [0] * a + [1])
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+def test_factor_degrees_match_the_squarefree_oracle(p):
+    rng = random.Random(7000 + p)
+    for _ in range(300):
+        f = _random_factored(rng, p, 30)
+        assert irreducible_factor_degrees(f) == irreducible_factor_degrees_sqfree(f), f.coeffs
+
+
+def test_factor_degrees_of_pth_powers_and_t_powers():
+    # (t^2 + 1)^3 over F_3, and t^4 (t^2 + t + 1)^2 (t + 1)^4 over F_2
+    q = ModPoly(3, [1, 0, 1])
+    assert irreducible_factor_degrees(q * q * q).entries == ((2, 1),)
+    f = ModPoly(2, [0, 0, 0, 0, 1]) * ModPoly(2, [1, 1, 1]) * ModPoly(2, [1, 1, 1])
+    for _ in range(4):
+        f = f * ModPoly(2, [1, 1])
+    assert irreducible_factor_degrees(f).entries == ((1, 1), (2, 1))
