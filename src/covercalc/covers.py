@@ -18,7 +18,7 @@ from .knots import Knot
 from .polynomials import (
     IntPoly,
     ModPoly,
-    gcd_fp,
+    _gcd_t_power_minus_one,
     int_poly_gcd,
     irreducible_factor_degrees,
     resultant,
@@ -85,9 +85,12 @@ def fox_order(K: Knot, n: int) -> CoverOrder:
 def is_zp_homology_sphere(K: Knot, n: int, p: int) -> bool:
     """Whether the n-fold branched cyclic cover has no p-torsion and finite H1.
 
-    Decided by the gcd of t**n - 1 and the knot polynomial over F_p, which
-    avoids the huge integer resultants for large n; an infinite H1 reports
-    False.
+    |H1| = |Res(t**n - 1, f)| for the knot polynomial f, and t**n - 1 is
+    monic, so p divides |H1| (or H1 is infinite, which reports False)
+    exactly when t**n - 1 and f mod p share a factor.  Their gcd is taken
+    on the packed F_p[t] kernel with t**n reduced mod (f mod p) by
+    square-and-multiply, so t**n - 1 is never built, the cost is
+    O(m**2 log n) for m = deg(f mod p), and n may be huge.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -96,8 +99,7 @@ def is_zp_homology_sphere(K: Knot, n: int, p: int) -> bool:
     fbar = ModPoly.reduce(K.tilde, p)
     if fbar.is_zero:  # impossible for value 1 at t=1; guards corrupt data
         raise ValueError(f"{K.name}: polynomial vanishes mod {p}")
-    cyc = ModPoly.reduce(IntPoly.t_power_minus_one(n), p)
-    return gcd_fp(cyc, fbar).degree == 0
+    return _gcd_t_power_minus_one(fbar, n).degree == 0
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

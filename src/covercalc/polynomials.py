@@ -18,15 +18,21 @@ division that stops at the first quotient term the leading coefficient does
 not divide, and ``int_poly_gcd`` is a primitive remainder sequence.  Their
 rational (``Fraction``) references live in ``tests/oracles.py``.
 
-``irreducible_factor_degrees`` runs distinct-degree factorization on plain
-ints, not on ``ModPoly``: over F_2 a polynomial is a bitmask, and over odd p
-its residues sit in fixed-width slots of one int, so that a product of
-polynomials is one integer product and one elimination step is a few
-integer operations.  There is no squarefree pass.  When the factors of
-degree d turn up as g = gcd(v, t**(p**d) - t), every power of them is
-divided out of v, so the rest of v has only factors of degree above d and
-the usual stop rule (deg v < 2(d + 1) means v is irreducible) still holds.
-The squarefree-part algorithm on ``ModPoly`` is its test oracle.
+F_p[t] has one arithmetic, a kernel on plain ints: over F_2 a polynomial is
+a bitmask, and over odd p its residues sit in fixed-width slots of one int,
+so that a product of polynomials is one integer product and one elimination
+step is a few integer operations.  ``ModPoly`` is a value type with no
+arithmetic: a prime and a reduced residue tuple, the argument type and the
+cache key of the mod-p invariants.  ``gcd_fp`` and the gcd with t**n - 1
+behind the Z/p-homology-sphere test (t**n reduced mod f by
+square-and-multiply) run on the kernel, and so does
+``irreducible_factor_degrees``, a distinct-degree factorization with no
+squarefree pass: when the factors of degree d turn up as
+g = gcd(v, t**(p**d) - t), every power of them is divided out of v, so the
+rest of v has only factors of degree above d and the usual stop rule
+(deg v < 2(d + 1) means v is irreducible) still holds.  Coefficient-list
+arithmetic, Euclid's gcd and the squarefree-part algorithm over F_p are
+their test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -342,24 +348,23 @@ def _positive_primitive(f: IntPoly) -> IntPoly:
     return -out if out.lc < 0 else out
 
 
+@dataclass(frozen=True)
 class ModPoly:
     """Polynomial over the prime field F_p, residues stored in [0, p).
 
-    Immutable; the modulus is checked for primality once per distinct value.
+    A value type: the modulus is checked for primality and the coefficients
+    are reduced on construction, and it has no arithmetic of its own; all
+    of F_p[t] runs on the packed kernel below.
     """
 
-    __slots__ = ("p", "coeffs")
+    p: int
+    coeffs: tuple[int, ...]
 
-    def __init__(self, p: int, coeffs=(), check: bool = True):
-        if check:
-            if not is_prime(p):
-                raise ValueError(f"modulus {p} is not prime")
-            coeffs = _strip(c % p for c in coeffs)
+    def __init__(self, p: int, coeffs=()):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ModPoly is immutable")
+        object.__setattr__(self, "coeffs", _strip(c % p for c in coeffs))
 
     @classmethod
     def reduce(cls, f: IntPoly, p: int) -> "ModPoly":
@@ -380,82 +385,8 @@ class ModPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _new(self, coeffs) -> "ModPoly":
-        out = ModPoly.__new__(ModPoly)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "coeffs", _strip(c % self.p for c in coeffs))
-        return out
-
-    def _check_same_field(self, other: "ModPoly") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModPoly) and self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check_same_field(other)
-        return self._new(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        self._check_same_field(other)
-        return self._new(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
-
-    def __mul__(self, other: "ModPoly") -> "ModPoly":
-        self._check_same_field(other)
-        if self.is_zero or other.is_zero:
-            return self._new(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return self._new(out)
-
-    def __divmod__(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
-        self._check_same_field(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        p = self.p
-        inv = pow(other.lc, -1, p)
-        r = list(self.coeffs)
-        dd = other.degree
-        q = [0] * max(len(r) - dd, 0)
-        while len(r) - 1 >= dd and r:
-            c = r[-1] * inv % p
-            k = len(r) - 1 - dd
-            q[k] = c
-            for i in range(dd + 1):
-                r[k + i] = (r[k + i] - c * other.coeffs[i]) % p
-            while r and r[-1] == 0:
-                r.pop()
-        return self._new(q), self._new(r)
-
-    def __floordiv__(self, other: "ModPoly") -> "ModPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "ModPoly") -> "ModPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero or self.lc == 1:
-            return self
-        inv = pow(self.lc, -1, self.p)
-        return self._new(c * inv for c in self.coeffs)
-
     def __str__(self) -> str:
         return f"{list(self.coeffs)} (mod {self.p})"
-
-
-def gcd_fp(f: ModPoly, g: ModPoly) -> ModPoly:
-    """Monic gcd in F_p[t]; gcd(0, 0) = 0."""
-    f._check_same_field(g)
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
 
 
 @dataclass(frozen=True)
@@ -486,11 +417,11 @@ class DegreeMultiset:
         return len(self.entries)
 
 
-# ---------------------------------------------- factor degrees over F_p
+# ------------------------------------------------------ F_p[t] arithmetic
 #
 # The kernel's two fields offer the same operations on plain ints; ``rem``
 # divides by a monic polynomial unless told the inverse of the leading
-# coefficient.
+# coefficient, and ``frobenius`` and ``power`` take h already reduced mod v.
 
 
 class _F2:
@@ -503,12 +434,16 @@ class _F2:
         return int("".join(map(str, reversed(coeffs))), 2)
 
     @staticmethod
+    def unpack(a: int) -> list[int]:
+        return [int(c) for c in reversed(format(a, "b"))]
+
+    @staticmethod
     def degree(a: int) -> int:
         return a.bit_length() - 1
 
     @staticmethod
-    def minus_x(a: int) -> int:
-        return a ^ 0b10
+    def sub(a: int, b: int) -> int:
+        return a ^ b
 
     @staticmethod
     def divmod(a: int, b: int) -> tuple[int, int]:
@@ -542,6 +477,17 @@ class _F2:
     def frobenius(h: int, v: int) -> int:
         # squaring over F_2 spreads bit i to bit 2i
         return _F2.rem(int("0".join(format(h, "b")), 2), v)
+
+    @staticmethod
+    def x_power(n: int, v: int) -> int:
+        # x**n mod v, n >= 1, left to right: squaring is frobenius, and
+        # multiplying by x is a shift
+        result = _F2.rem(0b10, v)
+        for bit in bin(n)[3:]:
+            result = _F2.frobenius(result, v)
+            if bit == "1":
+                result = _F2.rem(result << 1, v)
+        return result
 
 
 class _Fp:
@@ -581,11 +527,16 @@ class _Fp:
             a = (a << self.w) | c
         return self._reduce(a * pow(coeffs[-1], -1, self.p))
 
+    def unpack(self, a: int) -> list[int]:
+        mask = (1 << self.w) - 1
+        return [(a >> (self.w * i)) & mask for i in range(self.degree(a) + 1)]
+
     def degree(self, a: int) -> int:
         return (a.bit_length() - 1) // self.w
 
-    def minus_x(self, a: int) -> int:
-        return self._reduce(a + (self.p - 1) * self.x)
+    def sub(self, a: int, b: int) -> int:
+        # the bias keeps every slot of a - b nonnegative
+        return self._reduce(a + self.bias - b)
 
     def rem(self, a: int, b: int, inv: int = 1) -> int:
         """a mod b, where inv = 1/lc(b)."""
@@ -639,15 +590,52 @@ class _Fp:
             k -= dg
         return v, v
 
-    def frobenius(self, h: int, v: int) -> int:
-        # h**p mod v by left-to-right square-and-multiply; the product of
-        # two packed ints is the packed product of the polynomials
+    def power(self, h: int, e: int, v: int) -> int:
+        # h**e mod v, e >= 1, by left-to-right square-and-multiply; the
+        # product of two packed ints is the packed product of the polynomials
         result = h
-        for bit in bin(self.p)[3:]:
+        for bit in bin(e)[3:]:
             result = self.rem(self._reduce(result * result), v)
             if bit == "1":
                 result = self.rem(self._reduce(result * h), v)
         return result
+
+    def frobenius(self, h: int, v: int) -> int:
+        return self.power(h, self.p, v)
+
+    def x_power(self, n: int, v: int) -> int:
+        return self.power(self.rem(self.x, v), n, v)
+
+
+def _packed(f: ModPoly):
+    """The kernel of f's field, and f with its power of t divided out,
+    packed; f is nonzero."""
+    coeffs = f.coeffs[next(i for i, c in enumerate(f.coeffs) if c) :]
+    field = _F2 if f.p == 2 else _Fp(f.p, len(coeffs))
+    return field, field.pack(coeffs)
+
+
+def gcd_fp(f: ModPoly, g: ModPoly) -> ModPoly:
+    """Monic gcd in F_p[t]; gcd(0, 0) = 0."""
+    if f.p != g.p:
+        raise ValueError(f"modulus mismatch: {f.p} != {g.p}")
+    if f.is_zero and g.is_zero:
+        return f
+    field = _F2 if f.p == 2 else _Fp(f.p, max(len(f.coeffs), len(g.coeffs)))
+    a, b = (field.pack(h.coeffs) if h.coeffs else 0 for h in (f, g))
+    return ModPoly(f.p, field.unpack(field.gcd(a, b)))
+
+
+def _gcd_t_power_minus_one(f: ModPoly, n: int) -> ModPoly:
+    """Monic gcd(f, t**n - 1) in F_p[t] for nonzero f and n >= 1.
+
+    t**n - 1 is never built: t**n mod f comes from square-and-multiply, so
+    the cost is O(m**2 log n) coefficient operations for m = deg f.  The
+    power of t in f is prime to t**n - 1 and is divided out first.
+    """
+    field, v = _packed(f)
+    r = field.sub(field.x_power(n, v), 1)
+    return ModPoly(f.p, field.unpack(field.gcd(v, r)))
 
 
 def irreducible_factor_degrees(f: ModPoly) -> DegreeMultiset:
@@ -663,10 +651,7 @@ def irreducible_factor_degrees(f: ModPoly) -> DegreeMultiset:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    coeffs = f.coeffs
-    coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c) :]
-    field = _F2 if f.p == 2 else _Fp(f.p, len(coeffs))
-    v = field.pack(coeffs)
+    field, v = _packed(f)
     x = field.x
     h = field.rem(x, v)
     entries = []
@@ -674,7 +659,7 @@ def irreducible_factor_degrees(f: ModPoly) -> DegreeMultiset:
     while field.degree(v) >= 2 * (d + 1):
         d += 1
         h = field.frobenius(h, v)
-        g = field.gcd(v, field.minus_x(h))
+        g = field.gcd(v, field.sub(h, x))
         if field.degree(g) > 0:
             entries.append((d, field.degree(g) // d))
             while field.degree(g) > d:

@@ -4,17 +4,22 @@ Nothing here shares an algorithm with the code under test: integer
 determinants are plain fraction Gaussian elimination, determinants of
 polynomial matrices are cofactor expansion, factorization is exhaustive
 enumeration of irreducibles, primality is trial division, and division and
-gcd in Z[t] run over Q with ``Fraction`` coefficients.  The factor degrees
-over F_p also have a second reference on ``ModPoly``: the squarefree part
-(with the p-th-root step of characteristic p) followed by the textbook
+gcd in Z[t] run over Q with ``Fraction`` coefficients.
+
+F_p[t] arithmetic lives here, as coefficient lists on ``ModPoly`` values
+(``fp_sub``, ``fp_mul``, ``fp_divmod``, ``fp_monic`` and Euclid's
+``gcd_fp_euclid``): it is the reference for the packed kernel the library
+runs on.  The exhaustive factoring runs on it, and so does a second
+reference for the factor degrees over F_p: the squarefree part (with the
+p-th-root step of characteristic p) followed by the textbook
 distinct-degree factorization.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
-from covercalc.polynomials import DegreeMultiset, IntPoly, ModPoly, gcd_fp
+from covercalc.polynomials import DegreeMultiset, IntPoly, ModPoly
 
 
 def det_fraction(matrix) -> Fraction:
@@ -116,6 +121,65 @@ def int_poly_gcd_fraction(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(tuple(cont * c for c in _positive_primitive_of(a).coeffs))
 
 
+def _same_field(f: ModPoly, g: ModPoly) -> int:
+    if f.p != g.p:
+        raise ValueError(f"modulus mismatch: {f.p} != {g.p}")
+    return f.p
+
+
+def fp_sub(f: ModPoly, g: ModPoly) -> ModPoly:
+    p = _same_field(f, g)
+    return ModPoly(p, [a - b for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
+
+
+def fp_mul(f: ModPoly, g: ModPoly) -> ModPoly:
+    """Schoolbook product in F_p[t]."""
+    p = _same_field(f, g)
+    if f.is_zero or g.is_zero:
+        return ModPoly(p)
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j, b in enumerate(g.coeffs):
+                out[i + j] += a * b
+    return ModPoly(p, out)
+
+
+def fp_divmod(f: ModPoly, g: ModPoly) -> tuple[ModPoly, ModPoly]:
+    """Quotient and remainder of long division in F_p[t]."""
+    p = _same_field(f, g)
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    inv = pow(g.lc, -1, p)
+    r = list(f.coeffs)
+    dd = g.degree
+    q = [0] * max(len(r) - dd, 0)
+    while len(r) - 1 >= dd and r:
+        c = r[-1] * inv % p
+        k = len(r) - 1 - dd
+        q[k] = c
+        for i in range(dd + 1):
+            r[k + i] = (r[k + i] - c * g.coeffs[i]) % p
+        while r and r[-1] == 0:
+            r.pop()
+    return ModPoly(p, q), ModPoly(p, r)
+
+
+def fp_monic(f: ModPoly) -> ModPoly:
+    if f.is_zero:
+        return f
+    inv = pow(f.lc, -1, f.p)
+    return ModPoly(f.p, [c * inv for c in f.coeffs])
+
+
+def gcd_fp_euclid(f: ModPoly, g: ModPoly) -> ModPoly:
+    """Monic gcd in F_p[t] by Euclid's remainder sequence; gcd(0, 0) = 0."""
+    _same_field(f, g)
+    while not g.is_zero:
+        f, g = g, fp_divmod(f, g)[1]
+    return fp_monic(f)
+
+
 def is_prime_trial(n: int) -> bool:
     if n < 2:
         return False
@@ -133,7 +197,7 @@ def monic_irreducibles(p: int, max_degree: int) -> list[ModPoly]:
     for d in range(1, max_degree + 1):
         for tail in product(range(p), repeat=d):
             f = ModPoly(p, list(tail) + [1])
-            if all(not (f % g).is_zero for g in found if g.degree <= d // 2):
+            if all(not fp_divmod(f, g)[1].is_zero for g in found if g.degree <= d // 2):
                 found.append(f)
     return found
 
@@ -148,14 +212,14 @@ def factor_degrees_exhaustive(f: ModPoly, irreducibles=None):
     if irr is None:
         irr = monic_irreducibles(f.p, max(1, f.degree // 2 + 1))
     max_listed = max(g.degree for g in irr)
-    f = f.monic()
+    f = fp_monic(f)
     seen: dict[int, int] = {}
     for g in irr:
-        if (f % g).is_zero:
+        if fp_divmod(f, g)[1].is_zero:
             if g.coeffs != (0, 1):
                 seen[g.degree] = seen.get(g.degree, 0) + 1
-            while (f % g).is_zero:
-                f = f // g
+            while fp_divmod(f, g)[1].is_zero:
+                f = fp_divmod(f, g)[0]
     if f.degree > 0:
         # leftover has no factor of degree <= max_listed, hence is irreducible
         # as long as it cannot split into two larger pieces
@@ -167,11 +231,11 @@ def factor_degrees_exhaustive(f: ModPoly, irreducibles=None):
 def _pow_mod(f: ModPoly, e: int, modulus: ModPoly) -> ModPoly:
     # f**e reduced mod modulus, by square-and-multiply
     result = ModPoly(f.p, (1,))
-    base = f % modulus
+    base = fp_divmod(f, modulus)[1]
     while e:
         if e & 1:
-            result = result * base % modulus
-        base = base * base % modulus
+            result = fp_divmod(fp_mul(result, base), modulus)[1]
+        base = fp_divmod(fp_mul(base, base), modulus)[1]
         e >>= 1
     return result
 
@@ -206,24 +270,24 @@ def squarefree_part(f: ModPoly) -> ModPoly:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    f = f.monic()
+    f = fp_monic(f)
     if f.degree <= 0:
         return ModPoly(f.p, (1,))
     df = _derivative(f)
     if df.is_zero:
         return squarefree_part(_pth_root(f))
-    g = gcd_fp(f, df)
-    w = f // g
+    g = gcd_fp_euclid(f, df)
+    w = fp_divmod(f, g)[0]
     # w covers every factor whose multiplicity is prime to p; peel those out
     # of g until only p-th-power content remains
     while True:
-        h = gcd_fp(g, w)
+        h = gcd_fp_euclid(g, w)
         if h.degree <= 0:
             break
-        g = g // h
+        g = fp_divmod(g, h)[0]
     if g.degree <= 0:
         return w
-    return w * squarefree_part(_pth_root(g))
+    return fp_mul(w, squarefree_part(_pth_root(g)))
 
 
 def irreducible_factor_degrees_sqfree(f: ModPoly) -> DegreeMultiset:
@@ -235,17 +299,17 @@ def irreducible_factor_degrees_sqfree(f: ModPoly) -> DegreeMultiset:
     v = squarefree_part(strip_t_power(f))
     p = f.p
     x = ModPoly(p, (0, 1))
-    h = x % v
+    h = fp_divmod(x, v)[1]
     entries = []
     d = 0
     while v.degree >= 2 * (d + 1):
         d += 1
         h = _pow_mod(h, p, v)
-        g = gcd_fp(v, h - x)
+        g = gcd_fp_euclid(v, fp_sub(h, x))
         if g.degree > 0:
             entries.append((d, g.degree // d))
-            v = v // g
-            h = h % v
+            v = fp_divmod(v, g)[0]
+            h = fp_divmod(h, v)[1]
     if v.degree > 0:
         entries.append((v.degree, 1))
     return DegreeMultiset(tuple(entries))

@@ -87,12 +87,31 @@ def test_zp_sphere_fixed_values():
 
 def test_zp_sphere_matches_order_divisibility():
     for knot in TABLE:
-        for n in range(1, 13):
+        for n in range(1, 41):
             order = fox_order(knot, n)
-            for p in (2, 3, 5):
+            for p in (2, 3, 5, 7, 11):
                 via_gcd = is_zp_homology_sphere(knot, n, p)
                 via_order = (not order.infinite) and order.order % p != 0
                 assert via_gcd == via_order, (knot.name, n, p)
+
+
+def test_zp_sphere_at_huge_n():
+    # the trefoil's polynomial is Phi_6, which splits mod 2 into the
+    # primitive cube roots of unity, has the root -1 (a primitive square
+    # root) twice mod 3, and has primitive sixth roots mod 5 and 7; so the
+    # n-fold cover has p-torsion exactly when 3 | n (p = 2), 2 | n (p = 3),
+    # or 6 | n (p = 5, 7)
+    k31 = TABLE.get("3_1")
+    period = {2: 3, 3: 2, 5: 6, 7: 6}
+    for n in range(1, 41):
+        for p, m in period.items():
+            assert (fox_order(k31, n).order % p != 0) == (n % m != 0), (n, p)
+    start = time.perf_counter()
+    for k in range(12):
+        n = 10**18 + k
+        for p, m in period.items():
+            assert is_zp_homology_sphere(k31, n, p) == (n % m != 0), (k, p)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zp_sphere_rejects_nonprime():

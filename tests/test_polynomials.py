@@ -14,6 +14,7 @@ from covercalc.polynomials import (
     resultant,
     resultant_sylvester,
     sylvester_matrix,
+    _gcd_t_power_minus_one,
     _pencil_det,
 )
 
@@ -21,6 +22,9 @@ from oracles import (
     det_fraction,
     exact_divide_fraction,
     factor_degrees_exhaustive,
+    fp_divmod,
+    fp_mul,
+    gcd_fp_euclid,
     int_poly_gcd_fraction,
     irreducible_factor_degrees_sqfree,
     monic_irreducibles,
@@ -133,7 +137,40 @@ def test_gcd_fp_divides_both():
             assert f.is_zero and g.is_zero
             continue
         assert d.lc == 1
-        assert (f % d).is_zero and (g % d).is_zero
+        assert fp_divmod(f, d)[1].is_zero and fp_divmod(g, d)[1].is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, 10**9 + 7])
+def test_gcd_fp_matches_the_euclid_oracle(p):
+    rng = random.Random(9000 + p % 1000)
+
+    def rand_mod(max_deg):
+        return ModPoly(p, [rng.randrange(p) for _ in range(rng.randint(0, max_deg + 1))])
+
+    cases = [(ModPoly(p), ModPoly(p))]
+    for _ in range(60):
+        g = rand_mod(6)
+        f, h = fp_mul(rand_mod(6), g), fp_mul(rand_mod(6), g)  # a common factor, most of the time
+        cases += [(f, h), (rand_mod(12), rand_mod(12)), (f, ModPoly(p)), (ModPoly(p), h)]
+    for f, g in cases:
+        assert f.degree <= 12 and g.degree <= 12
+        assert gcd_fp(f, g) == gcd_fp_euclid(f, g), (f.coeffs, g.coeffs)
+    assert sum(gcd_fp(f, g).degree > 0 for f, g in cases) > len(cases) // 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, 10**9 + 7])
+def test_gcd_with_t_power_minus_one_matches_the_euclid_oracle(p):
+    # the kernel's t**n mod f by square-and-multiply, against Euclid on the
+    # whole t**n - 1; f may be divisible by t, or a nonzero constant
+    rng = random.Random(9100 + p % 1000)
+    for _ in range(80):
+        a = rng.choice([0, 0, 1, 3])
+        f = ModPoly(p, [0] * a + [rng.randrange(p) for _ in range(rng.randint(1, 9))])
+        if f.is_zero:
+            continue
+        for n in rng.sample(range(1, 61), 6):
+            cyc = ModPoly.reduce(IntPoly.t_power_minus_one(n), p)
+            assert _gcd_t_power_minus_one(f, n) == gcd_fp_euclid(f, cyc), (f.coeffs, n)
 
 
 # ------------------------------------------------- factor degrees over F_p
@@ -174,8 +211,8 @@ def test_factor_degree_sum_matches_squarefree_part():
 def test_squarefree_part_handles_pth_powers():
     # (t+1)^2 over F_2 and (t+1)^3 (t+2) over F_3 both need the p-th-root path
     assert squarefree_part(ModPoly(2, [1, 0, 1])).coeffs == (1, 1)
-    f = ModPoly(3, [1, 0, 0, 1]) * ModPoly(3, [2, 1])
-    assert squarefree_part(f).coeffs == (ModPoly(3, [1, 1]) * ModPoly(3, [2, 1])).coeffs
+    f = ModPoly.reduce(IntPoly([1, 0, 0, 1]) * IntPoly([2, 1]), 3)
+    assert squarefree_part(f).coeffs == ModPoly.reduce(IntPoly([1, 1]) * IntPoly([2, 1]), 3).coeffs
 
 
 def test_degree_multiset_validation():
@@ -362,10 +399,10 @@ def _random_factored(rng, p, max_degree):
         if f.degree + e * g.degree > max_degree:
             continue
         for _ in range(e):
-            f = f * g
+            f = fp_mul(f, g)
     a = rng.choice([0, 0, 1, 3])
     if f.degree + a <= max_degree:
-        f = f * ModPoly(p, [0] * a + [1])
+        f = fp_mul(f, ModPoly(p, [0] * a + [1]))
     return f
 
 
@@ -379,9 +416,9 @@ def test_factor_degrees_match_the_squarefree_oracle(p):
 
 def test_factor_degrees_of_pth_powers_and_t_powers():
     # (t^2 + 1)^3 over F_3, and t^4 (t^2 + t + 1)^2 (t + 1)^4 over F_2
-    q = ModPoly(3, [1, 0, 1])
-    assert irreducible_factor_degrees(q * q * q).entries == ((2, 1),)
-    f = ModPoly(2, [0, 0, 0, 0, 1]) * ModPoly(2, [1, 1, 1]) * ModPoly(2, [1, 1, 1])
+    q = IntPoly([1, 0, 1])
+    assert irreducible_factor_degrees(ModPoly.reduce(q * q * q, 3)).entries == ((2, 1),)
+    f = IntPoly([0, 0, 0, 0, 1]) * IntPoly([1, 1, 1]) * IntPoly([1, 1, 1])
     for _ in range(4):
-        f = f * ModPoly(2, [1, 1])
-    assert irreducible_factor_degrees(f).entries == ((1, 1), (2, 1))
+        f = f * IntPoly([1, 1])
+    assert irreducible_factor_degrees(ModPoly.reduce(f, 2)).entries == ((1, 1), (2, 1))
