@@ -9,6 +9,10 @@ The two resultant routines are deliberately independent of each other:
 ``resultant`` runs the subresultant polynomial remainder sequence, while
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
+``resultant`` is the small-resultant kernel of the cover orders: t**n is
+first reduced mod f by square-and-multiply in Z[t] (``_t_power_mod``, the
+integer counterpart of the F_p route below), so the resultant it is left
+with has degree at most deg f, whatever n is.
 ``_bareiss_det`` is the package's only determinant: it also gives the
 Seifert polynomial det(V - tV^T), evaluated at integer points and
 interpolated exactly by ``_pencil_det``; ``resultant`` never calls it.
@@ -162,8 +166,9 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     e = len(a) - 1 - db + 1
     r = list(a)
     while len(r) - 1 >= db and r:
-        top = r[-1]
-        r = [lb * c for c in r[:-1]]
+        top = r.pop()
+        if lb != 1:
+            r = [lb * c for c in r]
         k = len(r) - db
         for i in range(db):
             r[k + i] -= top * b[i]
@@ -174,6 +179,55 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
         m = lb**e
         r = [m * c for c in r]
     return r
+
+
+def _t_power_mod(f: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
+    """(R, k) with R / a**k = t**n mod f over Q and deg R < deg f, where
+    a = |lc(f)|, f is nonzero and n >= 1; R is a coefficient tuple.
+
+    Left-to-right square-and-multiply in Z[t] (t**n mod f = t**n mod -f,
+    so f is taken with a positive leading coefficient): each square, and
+    each product with t, is pseudo-reduced by ``_prem`` on at most
+    2 deg f coefficients, which scales it by a power of a that k counts,
+    and the powers of a common to every coefficient are divided back out,
+    so k and the coefficients stay small.  When a = 1, k stays 0.  The
+    cost is O(log n) products of polynomials of degree below deg f.
+    """
+    b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
+    m, a = len(b) - 1, b[-1]
+
+    def reduce(r, k):
+        k += max(len(r) - m, 0)  # the exponent of a that _prem applies
+        r = _prem(r, b)
+        if a == 1:
+            return r, 0
+        c, j = math.gcd(*r), 0
+        while j < k and c % a == 0:
+            c //= a
+            j += 1
+        if j:
+            d = a**j
+            r = [x // d for x in r]
+        return r, k - j
+
+    # the leading bits e of n with e < 2m only square and shift a monomial,
+    # so the powering starts from t**e itself
+    s = 0
+    while n >> s >= max(2 * m, 2):
+        s += 1
+    r, k = reduce([0] * (n >> s) + [1], 0)
+    for bit in range(s - 1, -1, -1):
+        sq = [0] * (2 * len(r) - 1)  # r**2, each cross term taken once
+        for i, x in enumerate(r):
+            if x:
+                sq[2 * i] += x * x
+                x2 = 2 * x
+                for j in range(i + 1, len(r)):
+                    sq[i + j] += x2 * r[j]
+        r, k = reduce(sq, 2 * k)
+        if n >> bit & 1:
+            r, k = reduce([0] + r, k)
+    return tuple(r), k
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:

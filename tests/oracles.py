@@ -82,6 +82,16 @@ def exact_divide_fraction(num: IntPoly, den: IntPoly):
     return IntPoly(tuple(int(q) for q in quot))
 
 
+def cyclotomic(m: int) -> IntPoly:
+    """The cyclotomic polynomial Phi_m: t**m - 1 divided over Q by Phi_d for
+    every proper divisor d of m."""
+    phi = IntPoly.t_power_minus_one(m)
+    for d in range(1, m):
+        if m % d == 0:
+            phi = exact_divide_fraction(phi, cyclotomic(d))
+    return phi
+
+
 def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     r = list(a)
     db = len(b) - 1

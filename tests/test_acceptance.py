@@ -96,6 +96,18 @@ def test_criterion_fox_order_regression():
                 assert fox_order(knot, n).order == oracle
 
 
+def test_criterion_fox_orders_at_large_n():
+    import covercalc.covers as covers
+
+    knots = [TABLE.get(name) for name in ("4_1", "5_2", "6_1")]
+    covers._cached_order.cache_clear()
+    with criterion("Fox orders of 4_1, 5_2, 6_1 at n = 4000..4019", budget_s=2.0):
+        orders = {(k.name, n): fox_order(k, n).order for k in knots for n in range(4000, 4020)}
+    for k in knots:
+        oracle = abs(resultant(IntPoly.t_power_minus_one(4000), k.tilde))
+        assert orders[k.name, 4000] == oracle, k.name
+
+
 def test_criterion_prime_obstruction_properties():
     with criterion(
         "S(K,p) properties on 1000 random polynomials, p in {2,3,5}", budget_s=60.0

@@ -27,6 +27,13 @@ def test_cover_text_orders():
     assert orders == ["3", "4", "3", "1", "∞"]
 
 
+def test_cover_at_huge_n():
+    # the order row of 3_1 repeats with period 6, and 10**18 = 4 (mod 6)
+    code, out = capture(["cover", "3_1", "--n", "1000000000000000000"])
+    assert code == 0
+    assert out.splitlines()[2].split() == ["1000000000000000000", "3"]
+
+
 def test_cover_single_n_and_sphere_columns():
     code, out = capture(["cover", "3_1", "--n", "2", "-p", "2", "-p", "5"])
     assert code == 0

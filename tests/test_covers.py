@@ -16,8 +16,16 @@ from covercalc.covers import (
     skp_set,
 )
 from covercalc.knots import bundled_table
-from covercalc.polynomials import IntPoly, int_poly_gcd, resultant_sylvester
+from covercalc.polynomials import (
+    IntPoly,
+    _t_power_mod,
+    int_poly_gcd,
+    resultant,
+    resultant_sylvester,
+)
 from covercalc.primes import PrimeSet, prime_factors
+
+from oracles import cyclotomic
 
 TABLE = bundled_table()
 
@@ -73,6 +81,86 @@ def test_cover_order_validation():
         CoverOrder(0, 5)
     with pytest.raises(ValueError):
         order_from_tilde(IntPoly([1]), 0)
+
+
+# ------------------------------------------- orders without t**n - 1
+
+
+def prs_order(f, n):
+    # the slow path: the subresultant PRS on the whole t**n - 1
+    return abs(resultant(IntPoly.t_power_minus_one(n), f))
+
+
+def _order_cases(rng):
+    """Seeded polynomials for the order engine: a palindromic and a general
+    one for each leading coefficient, products of those with Phi_1..Phi_12,
+    one with a factor t**2, and 3 t**2, where t**n mod f is 0 for n >= 2."""
+    base = []
+    for lc in (1, -1, 2, -2, 3, -4):
+        tail = [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
+        base.append(IntPoly([lc] + tail + [rng.randint(-7, 7)] + tail[::-1] + [lc]))
+        base.append(IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 4))] + [lc]))
+    products = [cyclotomic(m) * rng.choice(base) for m in range(1, 13)]
+    return base + products + [IntPoly([0, 0, 1]) * base[2], IntPoly([0, 0, 3])]
+
+
+def test_order_engine_matches_prs_on_the_whole_t_power_minus_one():
+    cases = _order_cases(random.Random(909))
+    infinite = finite = 0
+    for f in cases:
+        for n in range(1, 121):
+            order = order_from_tilde(f, n).order
+            assert order == prs_order(f, n), (f.coeffs, n)
+            infinite += order == 0
+            finite += order != 0
+    # infinite orders, where the zero guard passes, and finite ones both occur
+    assert infinite > 100 and finite > 1000
+    for f in cases[::6]:
+        for n in (997, 2048, 4999):
+            assert order_from_tilde(f, n).order == prs_order(f, n), (f.coeffs, n)
+
+
+def test_order_engine_matches_sylvester_at_small_n():
+    for f in _order_cases(random.Random(910)):
+        for n in range(1, 13):
+            oracle = abs(resultant_sylvester(IntPoly.t_power_minus_one(n), f))
+            assert order_from_tilde(f, n).order == oracle, (f.coeffs, n)
+
+
+def test_t_power_mod_keeps_the_power_of_the_leading_coefficient_minimal():
+    # R / a**k in lowest terms: no power of a = |lc(f)| is left to divide out
+    for f in _order_cases(random.Random(911)):
+        a = abs(f.lc)
+        for n in range(1, 121):
+            R, k = _t_power_mod(f, n)
+            assert len(R) <= f.degree, (f.coeffs, n)
+            assert k == 0 or (a > 1 and math.gcd(*R) % a != 0), (f.coeffs, n, k)
+
+
+def test_trefoil_orders_at_huge_n():
+    # the trefoil's polynomial is Phi_6, so its orders repeat with period 6
+    row = [1, 3, 4, 3, 1, 0]
+    k31 = TABLE.get("3_1")
+    assert [prs_order(k31.tilde, n) for n in range(1, 13)] == row + row
+    start = time.perf_counter()
+    for k in range(12):
+        n = 10**18 + k
+        assert fox_order(k31, n).order == row[(n - 1) % 6], k
+    assert time.perf_counter() - start < 1.0
+
+
+def test_orders_never_build_t_power_minus_one(monkeypatch):
+    import covercalc.covers as covers
+
+    expected = {(knot.name, n): prs_order(knot.tilde, n) for knot in TABLE for n in range(1, 61)}
+
+    def refuse(n):
+        raise AssertionError(f"t**{n} - 1 built at run time")
+
+    monkeypatch.setattr(IntPoly, "t_power_minus_one", staticmethod(refuse))
+    covers._cached_order.cache_clear()
+    got = {(knot.name, n): fox_order(knot, n).order for knot in TABLE for n in range(1, 61)}
+    assert got == expected
 
 
 # ------------------------------------------------------- homology spheres

@@ -19,6 +19,7 @@ from covercalc.polynomials import (
 )
 
 from oracles import (
+    cyclotomic,
     det_fraction,
     exact_divide_fraction,
     factor_degrees_exhaustive,
@@ -310,14 +311,6 @@ def test_int_poly_gcd_matches_fraction_reference():
         assert int_poly_gcd(f, h) == int_poly_gcd_fraction(f, h), (f, h)
 
 
-def _cyclotomic(m):
-    phi = IntPoly.t_power_minus_one(m)
-    for d in range(1, m):
-        if m % d == 0:
-            phi = exact_divide_fraction(phi, _cyclotomic(d))
-    return phi
-
-
 def test_t_power_minus_one_against_palindromics_matches_reference():
     # palindromic polynomials with cyclotomic factors: the zero-resultant case
     # of cover orders, where t**n - 1 and the knot polynomial share a factor
@@ -329,7 +322,7 @@ def test_t_power_minus_one_against_palindromics_matches_reference():
             tail = [rng.randint(-4, 4) for _ in range(d)]
             h = IntPoly(list(reversed(tail)) + [rng.randint(-5, 5)] + tail)
             if not h.is_zero:
-                palindromics.append(_cyclotomic(m) * h)
+                palindromics.append(cyclotomic(m) * h)
     for n in range(1, 41):
         cyc = IntPoly.t_power_minus_one(n)
         for f in palindromics:
