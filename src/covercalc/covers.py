@@ -4,7 +4,7 @@ The order of H1 of the n-fold branched cyclic cover is the absolute value of
 the integer resultant of t**n - 1 with the degree-2d polynomial attached to
 the knot; order 0 encodes an infinite group.  It is found without building
 t**n - 1: t**n is reduced mod the polynomial by square-and-multiply in Z[t],
-and one resultant of degree 2d is left.  The obstruction set S(K, p)
+and one subresultant chain of degree 2d is left.  The obstruction set S(K, p)
 collects every prime dividing prod(p**d_j - 1) over the degrees d_j of the
 mod-p irreducible factors other than t, and covers with order-n branching
 avoid p-torsion whenever n is a multiple of no element of S(K, p).
@@ -20,8 +20,8 @@ from .knots import Knot
 from .polynomials import (
     IntPoly,
     ModPoly,
-    _divexact,
     _gcd_t_power_minus_one,
+    _subresultant,
     _t_power_mod,
     int_poly_gcd,
     irreducible_factor_degrees,
@@ -64,30 +64,35 @@ class CoverOrder:
 def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
     """|Res_Z(t**n - 1, f)| for the degree-2d integer polynomial f.
 
-    t**n - 1 is never built.  With m = deg f and a = |lc(f)|, square-and-
-    multiply in Z[t] gives R / a**k = t**n mod f with deg R < m, so
-    g = R - a**k is a**k (t**n - 1) mod f.  Res(t**n - 1, f) is
-    +-a**n times the product of alpha**n - 1 over the roots alpha of f,
-    and Res(f, g) is +-a**(deg g + k m) times the same product, so the
-    order is |Res(f, g)| * a**(n - deg g) / a**(k m): one resultant of
-    degree m after O(log n) products of polynomials of degree below m.
+    t**n - 1 is never built.  With b = +-f, a = lc(b) > 0 and m = deg b,
+    square-and-multiply in Z[t] gives R / a**k = t**n mod b with deg R < m,
+    and g = R - a**k is a**k (t**n - 1) mod b.  For n >= m, the subresultant
+    chain of (t**n - 1, b) is entered after its first step: the pseudo-
+    remainder a**(n-m+1) (t**n - 1 mod b) = a**(n-m+1-k) g (integral, as
+    R / a**k is in lowest terms), with scalars a and a**(n-m).  For n < m,
+    g = t**n - 1 and the chain starts at (f, g).  Either way one chain of
+    degree m follows O(log n) products of polynomials of degree below m.
     A zero resultant must come from a shared factor, and
-    gcd_Q(f, t**n - 1) = gcd_Q(f, g) because g = a**k (t**n - 1) mod f.
+    gcd_Q(f, t**n - 1) = gcd_Q(f, g) because g = a**k (t**n - 1) mod b.
     """
     if n < 1:
         raise ValueError("cover index must be >= 1")
-    if f.is_zero:  # shares every factor of t**n - 1
-        return CoverOrder(n=n, order=0)
+    if f.degree < 1:  # Res(t**n - 1, c) = c**n; the zero f shares every factor
+        return CoverOrder(n=n, order=abs(f(0)) ** n)
     R, k = _t_power_mod(f, n)
-    a = abs(f.lc)
+    a, m = abs(f.lc), f.degree
     g = IntPoly(R) - IntPoly((a**k,))
-    res = resultant(f, g)
+    if n < m:
+        res = resultant(f, g)
+    else:
+        b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
+        B = [a ** (n - m + 1 - k) * c for c in g.coeffs]
+        res = _subresultant(b, B, a, a ** (n - m))
     if res == 0:
         if int_poly_gcd(f, g).degree < 1:
             raise ArithmeticError("zero resultant without a common factor")
         return CoverOrder(n=n, order=0)
-    order = _divexact(abs(res) * a ** (n - g.degree), a ** (k * f.degree))
-    return CoverOrder(n=n, order=order)
+    return CoverOrder(n=n, order=abs(res))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

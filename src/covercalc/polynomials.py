@@ -9,10 +9,10 @@ The two resultant routines are deliberately independent of each other:
 ``resultant`` runs the subresultant polynomial remainder sequence, while
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
-``resultant`` is the small-resultant kernel of the cover orders: t**n is
-first reduced mod f by square-and-multiply in Z[t] (``_t_power_mod``, the
-integer counterpart of the F_p route below), so the resultant it is left
-with has degree at most deg f, whatever n is.
+The cover orders run one subresultant chain (``_subresultant``), entered
+at (f, g) or after the first step of (t**n - 1, f): t**n is first reduced
+mod f by square-and-multiply in Z[t] (``_t_power_mod``, the integer
+counterpart of the F_p route below), so the chain has degree deg f.
 ``_bareiss_det`` is the package's only determinant: it also gives the
 Seifert polynomial det(V - tV^T), evaluated at integer points and
 interpolated exactly by ``_pencil_det``; ``resultant`` never calls it.
@@ -246,22 +246,26 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         return g.lc**da
     if da == 0:
         return f.lc**db
+    if da < db:  # Res(f, g) = (-1)**(deg f deg g) Res(g, f)
+        return (-1) ** (da * db) * _subresultant(g.coeffs, f.coeffs, 1, 1)
+    return _subresultant(f.coeffs, g.coeffs, 1, 1)
+
+
+def _subresultant(a: Sequence[int], b: Sequence[int], gg: int, h: int) -> int:
+    """+-Res(A, B) by the subresultant PRS of (A, B), continued from a
+    state of its chain: the last two members a, b (deg a > deg b, or
+    deg a >= deg b at the start), gg = lc(a) and the running power h, which
+    are 1 and 1 at the start; 0 if a remainder vanishes.  Each remainder is
+    divided exactly by gg * h**delta (Collins 1967; Brown-Traub 1971), so
+    the members are subresultants of (A, B): no power of lc builds up.
+    """
     s = 1
-    a, b = list(f.coeffs), list(g.coeffs)
-    if da < db:
-        a, b = b, a
-        da, db = db, da
-        if da & 1 and db & 1:
-            s = -s
-    gg = 1
-    h = 1
-    while True:
+    da, db = len(a) - 1, len(b) - 1
+    while db > 0:
         delta = da - db
         if da & 1 and db & 1:
             s = -s
         r = _prem(a, b)
-        if not r:
-            return 0
         a, da = b, db
         den = gg * h**delta
         b = [_divexact(c, den) for c in r]
@@ -269,8 +273,8 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         gg = a[-1]
         if delta > 0:
             h = _divexact(gg**delta, h ** (delta - 1))
-        if db == 0:
-            break
+    if not b:
+        return 0
     return s * _divexact(b[0] ** da, h ** (da - 1))
 
 

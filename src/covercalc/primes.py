@@ -63,18 +63,30 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
-    # Floyd's cycle variant (y steps twice per step of x); n odd composite,
-    # no prime-power guard needed
+    # Brent's cycle variant, one gcd per product of 128 differences (a batch
+    # whose gcd is n is replayed); n odd composite, no prime-power guard needed
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(x - ys, n)
         if d != n:
             return d
     raise ArithmeticError(f"pollard rho failed on {n}")  # pragma: no cover

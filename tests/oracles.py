@@ -201,6 +201,27 @@ def is_prime_trial(n: int) -> bool:
     return True
 
 
+def brent_rho_stepwise(n: int) -> int:
+    """Brent's rho with one gcd per step, the reference for the batched
+    ``primes._pollard_rho``: the same walk for each c, stopped at the first
+    step whose difference shares a factor with n."""
+    for c in range(1, 100):
+        y, r, d = 2, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for _ in range(r):
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d != n:
+            return d
+    raise ArithmeticError(f"no factor of {n} found")
+
+
 def monic_irreducibles(p: int, max_degree: int) -> list[ModPoly]:
     """Every monic irreducible over F_p of degree <= max_degree, by sieve."""
     found: list[ModPoly] = []

@@ -18,6 +18,7 @@ from covercalc.covers import (
 from covercalc.knots import bundled_table
 from covercalc.polynomials import (
     IntPoly,
+    _prem,
     _t_power_mod,
     int_poly_gcd,
     resultant,
@@ -71,9 +72,14 @@ def test_infinite_order_comes_from_cyclotomic_factor():
 def test_zero_resultant_without_common_factor_raises(monkeypatch):
     import covercalc.covers as covers
 
-    monkeypatch.setattr(covers, "resultant", lambda f, g: 0)
-    with pytest.raises(ArithmeticError):
-        order_from_tilde(TABLE.get("3_1").tilde, 5)  # coprime to t**5 - 1
+    f = TABLE.get("3_1").tilde  # coprime to t**n - 1 for n = 1, 5
+    # n < deg f starts the chain at (f, t**n - 1); n >= deg f continues the
+    # chain of (t**n - 1, f) after its first step
+    for seam, n in (("resultant", 1), ("_subresultant", 5)):
+        with monkeypatch.context() as patch:
+            patch.setattr(covers, seam, lambda *args: 0)
+            with pytest.raises(ArithmeticError):
+                order_from_tilde(f, n)
 
 
 def test_cover_order_validation():
@@ -135,6 +141,49 @@ def test_t_power_mod_keeps_the_power_of_the_leading_coefficient_minimal():
             R, k = _t_power_mod(f, n)
             assert len(R) <= f.degree, (f.coeffs, n)
             assert k == 0 or (a > 1 and math.gcd(*R) % a != 0), (f.coeffs, n, k)
+
+
+def test_chain_seed_is_the_first_pseudo_remainder():
+    # the state order_from_tilde enters the chain of (t**n - 1, b) at:
+    # a**(n-m+1-k) g is exactly prem(t**n - 1, b) for b = +-f, lc(b) = a > 0
+    for f in _order_cases(random.Random(912)):
+        if f.degree < 1:  # constants never enter a chain
+            continue
+        b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
+        a, m = b[-1], len(b) - 1
+        for n in range(m, 121):
+            R, k = _t_power_mod(f, n)
+            g = IntPoly(R) - IntPoly((a**k,))
+            seed = [a ** (n - m + 1 - k) * c for c in g.coeffs]
+            assert seed == _prem(IntPoly.t_power_minus_one(n).coeffs, b), (f.coeffs, n)
+
+
+def test_order_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypatch):
+    # every pseudo-remainder of the power step and of the chain stays within
+    # 3x the bits of the order, plus a little: the chain's last ones multiply
+    # a subresultant by the square of the next one's leading coefficient.
+    # Res(f, R - a**k), with a**(k m) divided out only at the end, passes
+    # that by 1000 to 68000 bits on these polynomials.
+    import covercalc.polynomials as polynomials
+
+    prem, widest = polynomials._prem, [0]
+
+    def recording_prem(a, b):
+        r = prem(a, b)
+        widest[0] = max(widest[0], *(abs(c).bit_length() for c in (*a, *b, *r)))
+        return r
+
+    monkeypatch.setattr(polynomials, "_prem", recording_prem)
+    rng = random.Random(913)
+    for lc in (2, -4, 3):
+        for m in (6, 8):
+            f = IntPoly([rng.randint(-6, 6) for _ in range(m)] + [lc])
+            for n in (400, 2000):
+                widest[0] = 0
+                order = order_from_tilde(f, n).order
+                assert order > 0, (f.coeffs, n)
+                bits = order.bit_length()
+                assert widest[0] <= 3 * bits + 64, (f.coeffs, n, widest[0], bits)
 
 
 def test_trefoil_orders_at_huge_n():

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
-from covercalc.primes import PrimeSet, is_prime, prime_factors, primes_up_to
+from covercalc.primes import PrimeSet, _pollard_rho, is_prime, prime_factors, primes_up_to
 
-from oracles import is_prime_trial
+from oracles import brent_rho_stepwise, is_prime_trial
 
 
 def test_prime_factors_fixed_values():
@@ -33,6 +34,40 @@ def test_prime_factors_beyond_64_bits():
     assert prime_factors(a * b).primes == (a, b)
     m89 = 2**89 - 1  # Mersenne prime
     assert prime_factors(m89).primes == (m89,)
+
+
+def _seeded_prime(rng, bits):
+    while True:
+        q = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(q):
+            return q
+
+
+def test_prime_factors_of_explicit_products_of_20_to_40_bit_primes():
+    # rho has to split every product below: p q, p**2 q (a prime power needs
+    # no guard) and p p' q
+    rng = random.Random(67)
+    for i in range(12):
+        small = _seeded_prime(rng, rng.randint(20, 32))
+        primes = [small, _seeded_prime(rng, rng.randint(33, 40))]
+        primes += [[], [small], [_seeded_prime(rng, rng.randint(20, 32))]][i % 3]
+        m = math.prod(primes)
+        assert prime_factors(m) == PrimeSet.of(primes), primes
+        d = _pollard_rho(m)
+        assert 1 < d < m and m % d == 0, (primes, d)
+
+
+def test_pollard_rho_matches_the_stepwise_walk_on_semiprimes():
+    # for n = p q a batch whose gcd is n is replayed step by step, so the
+    # batched walk stops where the stepwise one does, with the same factor
+    primes = [q for q in range(3, 400) if is_prime_trial(q)]
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            assert _pollard_rho(p * q) == brent_rho_stepwise(p * q), (p, q)
+
+
+def test_prime_factors_of_mersenne_67():
+    assert prime_factors(2**67 - 1).primes == (193707721, 761838257287)
 
 
 def test_is_prime_against_trial_division():
