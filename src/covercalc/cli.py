@@ -18,7 +18,7 @@ from . import bounds as geo
 from .covers import fox_order, is_zp_homology_sphere, skp_set
 from .knots import KnotTable, KnotTableError, bundled_table, load_table_file
 from .obstruct import DEFAULT_MAX_N, DEFAULT_PRIMES, filter_predecessors, obstruct
-from .primes import is_prime
+from .primes import require_prime
 
 INFINITY = "∞"
 
@@ -57,8 +57,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _check_primes(ps) -> list[int]:
     # a repeated -p is asked once: ids and columns stay one per prime
     for p in ps:
-        if not is_prime(p):
-            raise CliError(f"-p {p}: not a prime")
+        try:
+            require_prime(p)
+        except ValueError as exc:
+            raise CliError(f"-p {exc}") from None
     return list(dict.fromkeys(ps))
 
 
@@ -116,8 +118,7 @@ def _cmd_cover(args) -> dict:
 def _cmd_skp(args) -> dict:
     table, _ = _resolve_table(args.table)
     knot = _get_knot(table, args.name)
-    if not is_prime(args.p):
-        raise CliError(f"-p {args.p}: not a prime")
+    _check_primes([args.p])
     return {
         "command": "skp",
         "knot": knot.name,

@@ -4,7 +4,12 @@ The order of H1 of the n-fold branched cyclic cover is the absolute value of
 the integer resultant of t**n - 1 with the degree-2d polynomial attached to
 the knot; order 0 encodes an infinite group.  It is found without building
 t**n - 1: t**n is reduced mod the polynomial by square-and-multiply in Z[t],
-and one subresultant chain of degree 2d is left.  The obstruction set S(K, p)
+and one subresultant chain of degree 2d is left.  The orders are memoized in
+one bounded LRU dict keyed by (polynomial, n), which the Z/p-sphere test
+peeks: H1(cover; Z/p) = H1(cover) (x) Z/p, so the cover is a Z/p-homology
+sphere iff its order is nonzero and prime to p.  When the order is not in
+the dict (it may have ~n bits), that test runs on the packed F_p[t] kernel
+instead and computes no order.  The obstruction set S(K, p)
 collects every prime dividing prod(p**d_j - 1) over the degrees d_j of the
 mod-p irreducible factors other than t, and covers with order-n branching
 avoid p-torsion whenever n is a multiple of no element of S(K, p).
@@ -13,6 +18,7 @@ avoid p-torsion whenever n is a multiple of no element of S(K, p).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +33,7 @@ from .polynomials import (
     irreducible_factor_degrees,
     resultant,
 )
-from .primes import _CACHE_SIZE, PrimeSet, is_prime, prime_factors, primes_up_to
+from .primes import _CACHE_SIZE, PrimeSet, prime_factors, primes_up_to, require_prime
 
 __all__ = [
     "CoverOrder",
@@ -95,9 +101,19 @@ def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
     return CoverOrder(n=n, order=abs(res))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# LRU: a hit moves to the back; each step is one atomic call, so threads at worst recompute
+_orders: OrderedDict[tuple[IntPoly, int], CoverOrder] = OrderedDict()
+
+
 def _cached_order(f: IntPoly, n: int) -> CoverOrder:
-    return order_from_tilde(f, n)
+    order = _orders.pop((f, n), None) or order_from_tilde(f, n)
+    if len(_orders) >= _CACHE_SIZE:  # never on a hit, which was just popped
+        _orders.popitem(last=False)
+    _orders[f, n] = order
+    return order
+
+
+_cached_order.cache_clear = _orders.clear
 
 
 def fox_order(K: Knot, n: int) -> CoverOrder:
@@ -109,21 +125,25 @@ def fox_order(K: Knot, n: int) -> CoverOrder:
 def is_zp_homology_sphere(K: Knot, n: int, p: int) -> bool:
     """Whether the n-fold branched cyclic cover has no p-torsion and finite H1.
 
-    |H1| = |Res(t**n - 1, f)| for the knot polynomial f, and t**n - 1 is
-    monic, so p divides |H1| (or H1 is infinite, which reports False)
-    exactly when t**n - 1 and f mod p share a factor.  Their gcd is taken
-    on the packed F_p[t] kernel with t**n reduced mod (f mod p) by
-    square-and-multiply, so t**n - 1 is never built, the cost is
-    O(m**2 log n) for m = deg(f mod p), and n may be huge.
+    H1(cover; Z/p) = H1(cover) (x) Z/p, so the answer is "order nonzero and
+    prime to p".  When ``fox_order(K, n)`` is already memoized (``cover``
+    and most callers ask for it first) that rule answers at once.
+    Otherwise no order is computed, as it may have ~n bits: |H1| =
+    |Res(t**n - 1, f)| for the knot polynomial f, and t**n - 1 is monic,
+    so p divides |H1| (or H1 is infinite) exactly when t**n - 1 and f mod p
+    share a factor.  Their gcd is taken on the packed F_p[t] kernel with
+    t**n reduced mod (f mod p) by square-and-multiply, so t**n - 1 is never
+    built, the cost is O(m**2 log n) for m = deg(f mod p), and n may be huge.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if n < 1:
         raise ValueError("cover index must be >= 1")
-    fbar = ModPoly.reduce(K.tilde, p)
-    if fbar.is_zero:  # impossible for value 1 at t=1; guards corrupt data
+    if all(c % p == 0 for c in K.tilde.coeffs):  # impossible for value 1 at t=1; bad data
         raise ValueError(f"{K.name}: polynomial vanishes mod {p}")
-    return _gcd_t_power_minus_one(fbar, n).degree == 0
+    known = _orders.get((K.tilde, n))
+    if known is not None:  # order 0, an infinite H1, is divisible by p
+        return known.order % p != 0
+    return _gcd_t_power_minus_one(ModPoly.reduce(K.tilde, p), n).degree == 0
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -149,8 +169,7 @@ def skp_from_tilde(f: IntPoly, p: int) -> PrimeSet:
     are cached per (f, p); the set depends only on f mod p, so each
     reduction mod p is factored once, and each p**d - 1 once per (p, d).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     fbar = ModPoly.reduce(f, p)
     if fbar.is_zero:
         raise ValueError(f"polynomial vanishes identically mod {p}; bad data")

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .covers import admissible, fox_order, skp_set
 from .knots import Knot, KnotTable
 from .polynomials import IntPoly, exact_divide
-from .primes import _CACHE_SIZE, PrimeSet, is_prime
+from .primes import _CACHE_SIZE, PrimeSet, require_prime
 
 __all__ = [
     "PASS",
@@ -114,8 +114,7 @@ def fibered_genus_check(J: Knot, K: Knot) -> CheckResult:
 def skp_containment(J: Knot, K: Knot, p: int) -> CheckResult:
     """Obstruction-set containment S(J, p) within S(K, p); redundant given
     divisibility but kept as an independent cross-check."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     sj, sk = skp_set(J, p), skp_set(K, p)
     cid = f"skp_subset:{p}"
     if sj.issubset(sk):

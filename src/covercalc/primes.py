@@ -1,9 +1,11 @@
 """Integer primality testing and factorization into distinct primes.
 
-Everything here is exact and deterministic for inputs below 2**64
-(Miller-Rabin with a verified witness set); larger inputs fall back to a
-fixed extended witness set that is proven complete up to ~3.3e24 and is
-probabilistically safe beyond.
+``is_prime`` is Miller-Rabin with the witnesses 2, 3, ..., 41, which are
+proven complete below PSI_13 = 3317044064679887385961981 (Sorenson-Webster).
+PSI_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to every one
+of them, so at and above that bound the answer is only probable.  A
+user-supplied prime p is therefore accepted only when p < PSI_13
+(``require_prime``), and every accepted p is proven prime.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Witnesses certifying Miller-Rabin for all n < 3,317,044,064,679,887,385,961,981
-# (Sorenson-Webster); the first twelve already cover every 64-bit integer.
+# Witnesses certifying Miller-Rabin for all n < PSI_13, the least strong
+# pseudoprime to all of them; the first twelve already cover every 64-bit integer.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -41,13 +44,22 @@ def _miller_rabin(n: int, a: int) -> bool:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic for all n below 2**64."""
+    """Primality test, a proof for all n below PSI_13."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     return all(_miller_rabin(n, a) for a in _MR_WITNESSES if a < n)
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime proven by ``is_prime``: the check
+    on every user-supplied prime, which rejects p >= PSI_13."""
+    if not is_prime(p):
+        raise ValueError(f"{p}: not a prime")
+    if p >= PSI_13:
+        raise ValueError(f"{p}: primality is proven only below {PSI_13}")
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -119,6 +119,29 @@ def test_cover_repeated_prime_gives_one_column():
     assert out == capture(["cover", "3_1", "--n", "3..4", "-p", "2"])[1]
 
 
+PSI_13 = "3317044064679887385961981"  # 1287836182261 * 2575672364521
+PSI_12 = "318665857834031151167461"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "3_1", "--n", "1..3", "-p"],
+        ["skp", "3_1", "-p"],
+        ["obstruct", "3_1", "granny", "-p"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_user_primes_at_or_above_psi13_exit_2(argv, capsys):
+    for json_flag in ([], ["--json"]):
+        code, out = capture(argv + [PSI_13] + json_flag)
+        assert code == 2 and out == ""
+        assert f"-p {PSI_13}: primality is proven only below {PSI_13}" in capsys.readouterr().err
+        code, out = capture(argv + [PSI_12] + json_flag)
+        assert code == 2 and out == ""
+        assert f"-p {PSI_12}: not a prime" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ filter
 
 

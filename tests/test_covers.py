@@ -18,15 +18,18 @@ from covercalc.covers import (
 from covercalc.knots import bundled_table
 from covercalc.polynomials import (
     IntPoly,
+    ModPoly,
     _prem,
     _t_power_mod,
     int_poly_gcd,
     resultant,
     resultant_sylvester,
 )
-from covercalc.primes import PrimeSet, prime_factors
+from covercalc.primes import PSI_13, PrimeSet, prime_factors
 
 from oracles import cyclotomic
+
+PSI_12 = 318665857834031151167461  # the least strong pseudoprime to 2, ..., 37
 
 TABLE = bundled_table()
 
@@ -222,14 +225,99 @@ def test_zp_sphere_fixed_values():
     assert not is_zp_homology_sphere(k41, 3, 2)
 
 
-def test_zp_sphere_matches_order_divisibility():
+def test_zp_sphere_matches_order_divisibility(monkeypatch):
+    # the order route (a memoized order) is held to the F_p kernel route: a
+    # cold-cache call runs the kernel and stores no order, and a warm call
+    # must answer from the order alone, with the kernel refused
+    import covercalc.covers as covers
+
+    kernel = covers._gcd_t_power_minus_one
+
+    def refuse(fbar, n):
+        raise AssertionError("F_p kernel run although the order is memoized")
+
     for knot in TABLE:
         for n in range(1, 41):
-            order = fox_order(knot, n)
             for p in (2, 3, 5, 7, 11):
-                via_gcd = is_zp_homology_sphere(knot, n, p)
+                direct = kernel(ModPoly.reduce(knot.tilde, p), n).degree == 0
+                covers._cached_order.cache_clear()
+                cold = is_zp_homology_sphere(knot, n, p)
+                assert (knot.tilde, n) not in covers._orders
+                order = fox_order(knot, n)
+                monkeypatch.setattr(covers, "_gcd_t_power_minus_one", refuse)
+                warm = is_zp_homology_sphere(knot, n, p)
+                monkeypatch.setattr(covers, "_gcd_t_power_minus_one", kernel)
                 via_order = (not order.infinite) and order.order % p != 0
-                assert via_gcd == via_order, (knot.name, n, p)
+                assert direct == cold == warm == via_order, (knot.name, n, p)
+    covers._cached_order.cache_clear()
+
+
+def test_order_cache_is_a_bounded_lru(monkeypatch):
+    import covercalc.covers as covers
+
+    computed = []
+    order = covers.order_from_tilde
+
+    def counting(f, n):
+        computed.append(n)
+        return order(f, n)
+
+    monkeypatch.setattr(covers, "order_from_tilde", counting)
+    monkeypatch.setattr(covers, "_CACHE_SIZE", 3)
+    covers._cached_order.cache_clear()
+    f = TABLE.get("4_1").tilde
+    for n in (1, 2, 3):
+        covers._cached_order(f, n)
+    assert covers._cached_order(f, 2).order == 5  # a hit moves to the back
+    assert list(covers._orders) == [(f, 1), (f, 3), (f, 2)]
+    assert covers._cached_order(f, 1).order == 1
+    assert list(covers._orders) == [(f, 3), (f, 2), (f, 1)]
+    assert computed == [1, 2, 3]
+    covers._cached_order(f, 4)  # evicts n = 3, the least recently used
+    assert list(covers._orders) == [(f, 2), (f, 1), (f, 4)]
+    covers._cached_order(f, 3)
+    assert computed == [1, 2, 3, 4, 3]
+    for n in range(5, 40):
+        covers._cached_order(f, n)
+        assert len(covers._orders) <= 3
+    assert list(covers._orders) == [(f, 37), (f, 38), (f, 39)]
+    assert [covers._cached_order(f, n).order for n in (2, 3)] == [5, 16]
+    assert computed[-2:] == [2, 3]
+    covers._cached_order.cache_clear()
+    assert not covers._orders
+
+
+def test_zp_sphere_on_uncached_order_stores_no_order():
+    # 4_1 reduces to t**2 + t + 1 mod 2, so its n-fold cover has 2-torsion
+    # exactly when 3 | n; its order at n = 10**18 would have ~1.4e18 bits
+    import covercalc.covers as covers
+
+    k41 = TABLE.get("4_1")
+    covers._cached_order.cache_clear()
+    start = time.perf_counter()
+    assert is_zp_homology_sphere(k41, 10**18, 2)
+    assert not is_zp_homology_sphere(k41, 10**18 + 2, 2)
+    assert time.perf_counter() - start < 1.0
+    assert not covers._orders
+
+
+def test_zp_sphere_rejects_a_polynomial_vanishing_mod_p():
+    # corrupt data: the knot records only carry valid polynomials, so a
+    # stand-in exposes the polynomial and name the test reads; both routes
+    import covercalc.covers as covers
+
+    class Corrupt:
+        name = "corrupt"
+        tilde = IntPoly((6, -6, 6))
+
+    for memoized in (False, True):
+        covers._cached_order.cache_clear()
+        if memoized:
+            covers._cached_order(Corrupt.tilde, 4)
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="vanishes mod"):
+                is_zp_homology_sphere(Corrupt, 4, p)
+    covers._cached_order.cache_clear()
 
 
 def test_zp_sphere_at_huge_n():
@@ -254,6 +342,26 @@ def test_zp_sphere_at_huge_n():
 def test_zp_sphere_rejects_nonprime():
     with pytest.raises(ValueError):
         is_zp_homology_sphere(TABLE.get("3_1"), 2, 6)
+
+
+def test_user_primes_at_or_above_psi13_are_rejected():
+    # PSI_13 passes every Miller-Rabin witness, so is_prime calls it prime;
+    # neither it nor the prime 2**89 - 1 above it is accepted, on either route
+    k31 = TABLE.get("3_1")
+    fox_order(k31, 2)
+    for p in (PSI_13, 2**89 - 1):
+        with pytest.raises(ValueError, match="proven only below"):
+            is_zp_homology_sphere(k31, 2, p)
+        with pytest.raises(ValueError, match="proven only below"):
+            is_zp_homology_sphere(k31, 10**18, p)
+        with pytest.raises(ValueError, match="proven only below"):
+            skp_set(k31, p)
+        with pytest.raises(ValueError, match="proven only below"):
+            skp_from_tilde(k31.tilde, p)
+        with pytest.raises(ValueError, match="proven only below"):
+            admissible_primes(k31, p, 10)
+    with pytest.raises(ValueError, match="not a prime"):
+        skp_set(k31, PSI_12)
 
 
 # ----------------------------------------------------------------- S(K, p)

@@ -19,6 +19,7 @@ from covercalc.obstruct import (
     skp_containment,
 )
 from covercalc.polynomials import eval_at
+from covercalc.primes import PSI_13
 
 TABLE = bundled_table()
 
@@ -83,6 +84,13 @@ def test_skp_containment_fixed_values():
 
 def test_skp_containment_can_fail():
     assert skp_containment(K("3_1"), K("unknot"), 2).verdict == FAIL
+
+
+def test_skp_containment_rejects_primes_at_or_above_psi13():
+    with pytest.raises(ValueError, match="proven only below"):
+        skp_containment(K("3_1"), K("granny"), PSI_13)
+    with pytest.raises(ValueError, match="proven only below"):
+        obstruct(K("3_1"), K("granny"), primes_p=(2, PSI_13))
 
 
 def test_skp_containment_never_fails_under_divisibility():

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from covercalc.primes import PrimeSet, _pollard_rho, is_prime, prime_factors, primes_up_to
+from covercalc.primes import (
+    PSI_13,
+    PrimeSet,
+    _pollard_rho,
+    is_prime,
+    prime_factors,
+    primes_up_to,
+    require_prime,
+)
 
 from oracles import brent_rho_stepwise, is_prime_trial
 
@@ -75,6 +83,25 @@ def test_is_prime_against_trial_division():
         assert is_prime(n) == is_prime_trial(n), n
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def test_require_prime_accepts_only_proven_primes():
+    # PSI_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to every
+    # witness, so is_prime wrongly calls it prime; require_prime stops there.
+    # PSI_12, the least strong pseudoprime to 2, ..., 37, is caught by 41.
+    p, q = 1287836182261, 2575672364521
+    assert is_prime(p) and is_prime(q) and PSI_13 == p * q
+    assert is_prime(PSI_13)
+    for n in (PSI_13, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="proven only below"):
+            require_prime(n)
+    psi_12 = 318665857834031151167461
+    assert not is_prime(psi_12)
+    for n in (psi_12, 1, 9, 2**67 - 1):
+        with pytest.raises(ValueError, match="not a prime"):
+            require_prime(n)
+    for n in (2, 3, 2**61 - 1, p, q):
+        require_prime(n)
 
 
 def test_primes_up_to():
