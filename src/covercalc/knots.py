@@ -15,7 +15,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from .polynomials import IntPoly, _pencil_det
+from .polynomials import IntPoly, _seifert_det
 
 __all__ = [
     "AlexanderPoly",
@@ -107,22 +107,21 @@ def alexander_mul(a: AlexanderPoly, b: AlexanderPoly) -> AlexanderPoly:
 def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
     """Normalize det(V - t*V^T) for a square integer Seifert matrix V.
 
-    The determinant is automatically palindromic of even degree after the
-    shared t-power is stripped; the sign is flipped so the value at 1 is +1.
-    An empty matrix yields the unknot polynomial.  The determinant costs
-    2g + 1 integer Bareiss eliminations, polynomial in the genus g.
+    The determinant is palindromic, det(V - tV^T) = det(V^T - tV), and of
+    even degree after the shared t-power is stripped; the sign is flipped so
+    the value at 1 is +1.  An empty matrix yields the unknot polynomial.
+    The determinant costs g + 1 Bareiss eliminations, at t = 0..g, which fix
+    it: a palindromic polynomial of degree <= 2g vanishing there is zero.
     """
     n = len(v)
     if any(len(row) != n for row in v):
         raise KnotTableError("Seifert matrix must be square")
     if n % 2:
         raise KnotTableError("Seifert matrix must have even size 2g")
-    det = _pencil_det(v, [list(col) for col in zip(*v)])
+    det = _seifert_det(v)
     if det.is_zero:
         raise KnotTableError("det(V - tV^T) vanishes; not a Seifert matrix")
     full = list(det.coeffs) + [0] * (n + 1 - len(det.coeffs))
-    if full != full[::-1]:
-        raise KnotTableError("det(V - tV^T) is not palindromic")  # pragma: no cover
     while len(full) > 1 and full[0] == 0 and full[-1] == 0:
         full = full[1:-1]
     s = sum(full)

@@ -13,9 +13,11 @@ The cover orders run one subresultant chain (``_subresultant``), entered
 at (f, g) or after the first step of (t**n - 1, f): t**n is first reduced
 mod f by square-and-multiply in Z[t] (``_t_power_mod``, the integer
 counterpart of the F_p route below), so the chain has degree deg f.
-``_bareiss_det`` is the package's only determinant: it also gives the
-Seifert polynomial det(V - tV^T), evaluated at integer points and
-interpolated exactly by ``_pencil_det``; ``resultant`` never calls it.
+``_bareiss_det`` is the package's only determinant; ``resultant`` never
+calls it.  It gives the Seifert polynomial det(V - tV^T) of a 2g-square V
+from its g + 1 values at t = 0..g (``_seifert_det``): the polynomial is
+palindromic, as det(V - tV^T) = det(V^T - tV), and a palindromic polynomial
+of degree <= 2g vanishing at 0..g has more roots than its degree.
 
 Division and gcd in Z[t] stay in Z as well: ``exact_divide`` is integer long
 division that stops at the first quotient term the leading coefficient does
@@ -44,9 +46,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 
-from .primes import is_prime, prime_factors
+from .primes import _CACHE_SIZE, PSI_13, is_prime, prime_factors
 
 __all__ = [
     "IntPoly",
@@ -304,28 +307,39 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _pencil_det(a: list[list[int]], b: list[list[int]]) -> IntPoly:
-    """det(A - tB) in Z[t] for square integer matrices A, B of size n.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _palindromic_solver(g: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # adj(M) and det(M) for the M of _seifert_det, which depends only on g
+    m = [[x**k + x ** (2 * g - k) if k < g else x**g for k in range(g + 1)] for x in range(g + 1)]
+    adj = tuple(
+        tuple((-1) ** (i + j) * _bareiss_det([r[:i] + r[i + 1 :] for r in m[:j] + m[j + 1 :]])
+              for j in range(g + 1))
+        for i in range(g + 1)
+    )
+    return adj, _bareiss_det(m)
 
-    The determinant has degree at most n, so its values at t = 0..n fix it;
-    each value is a Bareiss determinant, and Newton forward differences
-    rebuild the coefficients exactly (the k-th difference of an integer
-    polynomial at 0 is divisible by k!).
+
+def _seifert_det(v: list[list[int]]) -> IntPoly:
+    """det(V - tV^T) in Z[t] for a square integer matrix V of even size 2g.
+
+    p(t) = det(V - tV^T) = det(V^T - tV) = t**(2g) p(1/t), so c_(2g-k) = c_k
+    and the values at t = 0..g (Bareiss determinants) fix c_0..c_g through
+    M c = values, M[x][k] = x**k + x**(2g-k) (k < g), x**g (k = g).  M is
+    invertible: if p vanishes at 0..g, c_0 = c_2g = 0 and p = t q, q
+    palindromic of degree 2g - 2 with a double root at 1 (q'(1) = (g - 1) q(1))
+    and roots at 2..g and their reciprocals: 2g roots, so q = 0.
     """
-    n = len(a)
+    n = len(v)
+    if n % 2:
+        raise ValueError("Seifert matrix must have even size 2g")
+    g = n // 2
+    adj, det = _palindromic_solver(g)
     values = [
-        _bareiss_det([[a[i][j] - x * b[i][j] for j in range(n)] for i in range(n)])
-        for x in range(n + 1)
+        _bareiss_det([[v[i][j] - x * v[j][i] for j in range(n)] for i in range(n)])
+        for x in range(g + 1)
     ]
-    newton = []
-    for k in range(n + 1):
-        newton.append(_divexact(values[0], math.factorial(k)))
-        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
-    # nested Newton form: c0 + t(c1 + (t - 1)(c2 + (t - 2)(...)))
-    det = IntPoly()
-    for k in range(n, -1, -1):
-        det = det * IntPoly((-k, 1)) + IntPoly((newton[k],))
-    return det
+    c = [_divexact(sum(a * y for a, y in zip(row, values)), det) for row in adj]
+    return IntPoly(c + c[-2::-1])
 
 
 def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
@@ -421,6 +435,8 @@ class ModPoly:
     def __init__(self, p: int, coeffs=()):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+        if p >= PSI_13:
+            raise ValueError(f"modulus {p}: primality is proven only below {PSI_13}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", _strip(c % p for c in coeffs))
 

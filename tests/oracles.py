@@ -2,7 +2,8 @@
 
 Nothing here shares an algorithm with the code under test: integer
 determinants are plain fraction Gaussian elimination, determinants of
-polynomial matrices are cofactor expansion, factorization is exhaustive
+polynomial matrices are cofactor expansion or, for a pencil det(A - tB),
+Newton interpolation of its values at t = 0..n, factorization is exhaustive
 enumeration of irreducibles, primality is trial division, and division and
 gcd in Z[t] run over Q with ``Fraction`` coefficients.
 
@@ -58,6 +59,29 @@ def poly_matrix_det_cofactor(m) -> IntPoly:
         term = entry * poly_matrix_det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def pencil_det_newton(a, b) -> IntPoly:
+    """det(A - tB) in Z[t] for square integer matrices A, B of size n, for
+    any pencil: the values at t = 0..n by ``det_fraction``, rebuilt by Newton
+    forward differences (the k-th difference of an integer polynomial at 0
+    is divisible by k!)."""
+    n = len(a)
+    values = [
+        int(det_fraction([[a[i][j] - x * b[i][j] for j in range(n)] for i in range(n)]))
+        for x in range(n + 1)
+    ]
+    newton = []
+    for k in range(n + 1):
+        q, r = divmod(values[0], math.factorial(k))
+        assert r == 0, (values[0], k)
+        newton.append(q)
+        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
+    # nested Newton form: c0 + t(c1 + (t - 1)(c2 + (t - 2)(...)))
+    det = IntPoly()
+    for k in range(n, -1, -1):
+        det = det * IntPoly((-k, 1)) + IntPoly((newton[k],))
+    return det
 
 
 def exact_divide_fraction(num: IntPoly, den: IntPoly):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from covercalc import polynomials
 from covercalc.polynomials import (
     DegreeMultiset,
     IntPoly,
@@ -15,8 +16,10 @@ from covercalc.polynomials import (
     resultant_sylvester,
     sylvester_matrix,
     _gcd_t_power_minus_one,
-    _pencil_det,
+    _palindromic_solver,
+    _seifert_det,
 )
+from covercalc.primes import PSI_13, is_prime
 
 from oracles import (
     cyclotomic,
@@ -29,6 +32,7 @@ from oracles import (
     int_poly_gcd_fraction,
     irreducible_factor_degrees_sqfree,
     monic_irreducibles,
+    pencil_det_newton,
     poly_matrix_det_cofactor,
     squarefree_part,
     strip_t_power,
@@ -333,18 +337,18 @@ def test_t_power_minus_one_against_palindromics_matches_reference():
             assert exact_divide(f, gcd) is not None
 
 
-# ------------------------------------------------------------ pencil determinant
+# ------------------------------------------------------------ Seifert determinant
 
 
 def _random_square(rng, n, lo, hi):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
-def _seifert_cases(rng):
+def _seifert_cases(rng, sizes):
     # raw det(V - tV^T), compared before any normalisation: arbitrary V,
     # singular V, symmetric V, and symmetric singular V, whose pencil
     # (1 - t)V vanishes identically
-    for n in range(7):
+    for n in sizes:
         for _ in range(40):
             yield _random_square(rng, n, -3, 3)
             yield _random_square(rng, n, -1, 1)
@@ -360,25 +364,95 @@ def _seifert_cases(rng):
 
 
 def test_pencil_det_matches_cofactor_oracle_on_seifert_pencils():
+    # det(V - tV^T) is palindromic only for even n, the sizes _seifert_det
+    # takes; each size is drawn twice so there are as many vanishing
+    # pencils as over sizes 0..6
     rng = random.Random(314)
     vanishing = 0
-    for v in _seifert_cases(rng):
+    for v in _seifert_cases(rng, (0, 2, 4, 6) * 2):
         n = len(v)
-        vt = [list(col) for col in zip(*v)]
         pencil = [[IntPoly((v[i][j], -v[j][i])) for j in range(n)] for i in range(n)]
-        det = _pencil_det(v, vt)
+        det = _seifert_det(v)
         assert det == poly_matrix_det_cofactor(pencil), v
         vanishing += det.is_zero
     assert vanishing >= 60
 
 
 def test_pencil_det_matches_cofactor_oracle_on_general_pencils():
+    # the Newton oracle for det(A - tB), the reference for _seifert_det on
+    # matrices too large for cofactor expansion
     rng = random.Random(315)
     for n in range(7):
         for _ in range(25):
             a, b = _random_square(rng, n, -4, 4), _random_square(rng, n, -4, 4)
             pencil = [[IntPoly((a[i][j], -b[i][j])) for j in range(n)] for i in range(n)]
-            assert _pencil_det(a, b) == poly_matrix_det_cofactor(pencil), (a, b)
+            assert pencil_det_newton(a, b) == poly_matrix_det_cofactor(pencil), (a, b)
+
+
+def test_seifert_det_matches_newton_oracle_on_dense_genus_5_to_12():
+    # P^T V P with V block diagonal in random nonsingular 2 x 2 blocks and P
+    # unimodular upper triangular: dense, and det V = c_0 = c_2g != 0
+    rng = random.Random(316)
+    for g in range(5, 13):
+        n = 2 * g
+        v = [[0] * n for _ in range(n)]
+        for b in range(g):
+            block = [[0, 0], [0, 0]]
+            while block[0][0] * block[1][1] == block[0][1] * block[1][0]:
+                block = _random_square(rng, 2, -2, 2)
+            for i in range(2):
+                for j in range(2):
+                    v[2 * b + i][2 * b + j] = block[i][j]
+        p = [[int(i == j) if j <= i else rng.choice((-1, 0, 1)) for j in range(n)]
+             for i in range(n)]
+        vp = [[sum(v[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        s = [[sum(p[k][i] * vp[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert sum(x != 0 for row in s for x in row) > n * n // 2
+        vt = [list(col) for col in zip(*s)]
+        det = _seifert_det(s)
+        assert det == pencil_det_newton(s, vt), g
+        assert det.degree == n, g
+
+
+def test_seifert_det_rejects_odd_sizes():
+    for n in (1, 3, 5):
+        with pytest.raises(ValueError, match="even size"):
+            _seifert_det(_random_square(random.Random(n), n, -2, 2))
+
+
+def test_palindromic_solver_inverts_its_matrix():
+    for g in range(16):
+        m = [[x**k + x ** (2 * g - k) if k < g else x**g for k in range(g + 1)]
+             for x in range(g + 1)]
+        adj, det = _palindromic_solver(g)
+        assert det != 0, g
+        assert det == int(det_fraction(m)), g
+        for i in range(g + 1):
+            for j in range(g + 1):
+                entry = sum(adj[i][k] * m[k][j] for k in range(g + 1))
+                assert entry == (det if i == j else 0), (g, i, j)
+
+
+def test_seifert_det_raises_on_values_of_no_integer_polynomial(monkeypatch):
+    # for g = 2, det M = -2 and the values 0, 0, 1 at t = 0, 1, 2 give
+    # c_1 = 1/2: the solve must not round
+    _palindromic_solver(2)
+    values = iter((0, 0, 1))
+    monkeypatch.setattr(polynomials, "_bareiss_det", lambda rows: next(values))
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _seifert_det(_random_square(random.Random(2), 4, -2, 2))
+
+
+def test_modpoly_rejects_moduli_at_or_above_psi13():
+    # PSI_13 passes every Miller-Rabin witness; 2**89 - 1 is prime but
+    # beyond the proven range; the largest prime below PSI_13 is accepted
+    for p in (PSI_13, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"modulus {p}: primality is proven only below"):
+            ModPoly(p, (1, 1))
+    with pytest.raises(ValueError, match="modulus 3317044064679887385961983 is not prime"):
+        ModPoly(PSI_13 + 2, (1, 1))
+    q = next(q for q in range(PSI_13 - 2, 0, -2) if is_prime(q))
+    assert ModPoly(q, (q + 1, 1)).coeffs == (1, 1)
 
 
 def _random_factored(rng, p, max_degree):
