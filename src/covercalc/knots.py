@@ -108,8 +108,9 @@ def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
     """Normalize det(V - t*V^T) for a square integer Seifert matrix V.
 
     The determinant is palindromic, det(V - tV^T) = det(V^T - tV), and of
-    even degree after the shared t-power is stripped; the sign is flipped so
-    the value at 1 is +1.  An empty matrix yields the unknot polynomial.
+    even degree after the shared t-power is stripped.  Its value at 1,
+    det(V - V^T), is a Pfaffian square (V - V^T is skew of even size), so
+    +1 for a Seifert matrix.  An empty matrix yields the unknot polynomial.
     The determinant costs g + 1 Bareiss eliminations, at t = 0..g, which fix
     it: a palindromic polynomial of degree <= 2g vanishing there is zero.
     """
@@ -125,9 +126,7 @@ def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
     while len(full) > 1 and full[0] == 0 and full[-1] == 0:
         full = full[1:-1]
     s = sum(full)
-    if s == -1:
-        full = [-x for x in full]
-    elif s != 1:
+    if s != 1:
         raise KnotTableError(f"det(V - V^T) = {s}, must be +-1; not a Seifert matrix")
     return AlexanderPoly(tuple(full))
 

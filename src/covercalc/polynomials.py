@@ -13,29 +13,29 @@ The cover orders run one subresultant chain (``_subresultant``), entered
 at (f, g) or after the first step of (t**n - 1, f): t**n is first reduced
 mod f by square-and-multiply in Z[t] (``_t_power_mod``, the integer
 counterpart of the F_p route below), so the chain has degree deg f.
-``_bareiss_det`` is the package's only determinant; ``resultant`` never
-calls it.  It gives the Seifert polynomial det(V - tV^T) of a 2g-square V
-from its g + 1 values at t = 0..g (``_seifert_det``): the polynomial is
-palindromic, as det(V - tV^T) = det(V^T - tV), and a palindromic polynomial
-of degree <= 2g vanishing at 0..g has more roots than its degree.
+Bareiss elimination is the package's only determinant; ``resultant`` never
+calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
+2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
+its coefficients (``_seifert_det``): the polynomial is palindromic, as
+det(V - tV^T) = det(V^T - tV), and a palindromic polynomial of degree <= 2g
+vanishing at 0..g has more roots than its degree.
 
 Division and gcd in Z[t] stay in Z as well: ``exact_divide`` is integer long
 division that stops at the first quotient term the leading coefficient does
 not divide, and ``int_poly_gcd`` is a primitive remainder sequence.  Their
 rational (``Fraction``) references live in ``tests/oracles.py``.
 
-F_p[t] has one arithmetic, a kernel on plain ints: over F_2 a polynomial is
-a bitmask, and over odd p its residues sit in fixed-width slots of one int,
-so that a product of polynomials is one integer product and one elimination
-step is a few integer operations.  ``ModPoly`` is a value type with no
-arithmetic: a prime and a reduced residue tuple, the argument type and the
-cache key of the mod-p invariants.  ``gcd_fp`` and the gcd with t**n - 1
-behind the Z/p-homology-sphere test (t**n reduced mod f by
-square-and-multiply) run on the kernel, and so does
-``irreducible_factor_degrees``, a distinct-degree factorization with no
-squarefree pass: when the factors of degree d turn up as
-g = gcd(v, t**(p**d) - t), every power of them is divided out of v, so the
-rest of v has only factors of degree above d and the usual stop rule
+F_p[t] has one arithmetic, a kernel on plain ints: for every prime p the
+residues of a polynomial sit in fixed-width slots of one int, so that a
+product of polynomials is one integer product and one elimination step is a
+few integer operations.  ``ModPoly`` is a value type with no arithmetic: a
+prime and a reduced residue tuple, the argument type and the cache key of
+the mod-p invariants.  ``gcd_fp`` and the gcd with t**n - 1 behind the
+Z/p-homology-sphere test (t**n reduced mod f by square-and-multiply) run on
+the kernel, and so does ``irreducible_factor_degrees``, a distinct-degree
+factorization with no squarefree pass: when the factors of degree d turn up
+as g = gcd(v, t**(p**d) - t), every power of them is divided out of v, so
+the rest of v has only factors of degree above d and the usual stop rule
 (deg v < 2(d + 1) means v is irreducible) still holds.  Coefficient-list
 arithmetic, Euclid's gcd and the squarefree-part algorithm over F_p are
 their test oracles in ``tests/oracles.py``.
@@ -60,7 +60,6 @@ __all__ = [
     "gcd_fp",
     "irreducible_factor_degrees",
     "prime_factors",
-    "eval_at",
     "exact_divide",
     "int_poly_gcd",
 ]
@@ -155,11 +154,6 @@ class IntPoly:
             parts.append(term)
         s = " + ".join(parts).replace("+ -", "- ")
         return s
-
-
-def eval_at(f: IntPoly, x: int) -> int:
-    """Horner evaluation of f at the integer x."""
-    return f(x)
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -307,16 +301,30 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _adjugate(rows: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # adj(A) and det(A) of a nonsingular square integer matrix A by one
+    # fraction-free Gauss-Jordan (Bareiss) elimination of [A | I]: each row
+    # but the pivot's is divided exactly by the last pivot, and it ends at
+    # [d I | d A^-1], d = +-det(A) by the sign of the row swaps
+    n = len(rows)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            i = next(i for i in range(k + 1, n) if m[i][k])
+            m[k], m[i], sign = m[i], m[k], -sign
+        top = m[k]
+        m = [row if row is top else [_divexact(top[k] * a - row[k] * b, prev) for a, b in zip(row, top)]
+             for row in m]
+        prev = top[k]
+    return tuple(tuple(sign * a for a in row[n:]) for row in m), sign * prev
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _palindromic_solver(g: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     # adj(M) and det(M) for the M of _seifert_det, which depends only on g
-    m = [[x**k + x ** (2 * g - k) if k < g else x**g for k in range(g + 1)] for x in range(g + 1)]
-    adj = tuple(
-        tuple((-1) ** (i + j) * _bareiss_det([r[:i] + r[i + 1 :] for r in m[:j] + m[j + 1 :]])
-              for j in range(g + 1))
-        for i in range(g + 1)
-    )
-    return adj, _bareiss_det(m)
+    return _adjugate([[x**k + x ** (2 * g - k) if k < g else x**g for k in range(g + 1)]
+                      for x in range(g + 1)])
 
 
 def _seifert_det(v: list[list[int]]) -> IntPoly:
@@ -481,9 +489,6 @@ class DegreeMultiset:
     def degrees(self) -> list[int]:
         return [d for d, _ in self.entries]
 
-    def total_degree(self) -> int:
-        return sum(d * c for d, c in self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -493,79 +498,13 @@ class DegreeMultiset:
 
 # ------------------------------------------------------ F_p[t] arithmetic
 #
-# The kernel's two fields offer the same operations on plain ints; ``rem``
-# divides by a monic polynomial unless told the inverse of the leading
-# coefficient, and ``frobenius`` and ``power`` take h already reduced mod v.
-
-
-class _F2:
-    """F_2[t] on int bitmasks: bit i is the coefficient of t**i."""
-
-    x = 0b10
-
-    @staticmethod
-    def pack(coeffs) -> int:
-        return int("".join(map(str, reversed(coeffs))), 2)
-
-    @staticmethod
-    def unpack(a: int) -> list[int]:
-        return [int(c) for c in reversed(format(a, "b"))]
-
-    @staticmethod
-    def degree(a: int) -> int:
-        return a.bit_length() - 1
-
-    @staticmethod
-    def sub(a: int, b: int) -> int:
-        return a ^ b
-
-    @staticmethod
-    def divmod(a: int, b: int) -> tuple[int, int]:
-        q = 0
-        db = b.bit_length()
-        while (da := a.bit_length()) >= db:
-            q |= 1 << (da - db)
-            a ^= b << (da - db)
-        return q, a
-
-    @staticmethod
-    def rem(a: int, b: int) -> int:
-        return _F2.divmod(a, b)[1]
-
-    @staticmethod
-    def gcd(a: int, b: int) -> int:
-        while b:
-            a, b = b, _F2.rem(a, b)
-        return a
-
-    @staticmethod
-    def divide_out(v: int, g: int) -> tuple[int, int]:
-        """v with every power of g divided out, and v mod g."""
-        while True:
-            q, r = _F2.divmod(v, g)
-            if r:
-                return v, r
-            v = q
-
-    @staticmethod
-    def frobenius(h: int, v: int) -> int:
-        # squaring over F_2 spreads bit i to bit 2i
-        return _F2.rem(int("0".join(format(h, "b")), 2), v)
-
-    @staticmethod
-    def x_power(n: int, v: int) -> int:
-        # x**n mod v, n >= 1, left to right: squaring is frobenius, and
-        # multiplying by x is a shift
-        result = _F2.rem(0b10, v)
-        for bit in bin(n)[3:]:
-            result = _F2.frobenius(result, v)
-            if bit == "1":
-                result = _F2.rem(result << 1, v)
-        return result
+# The kernel works on plain ints; ``rem`` divides by a monic polynomial
+# unless told the inverse of the leading coefficient, and ``frobenius`` and
+# ``power`` take h already reduced mod v.
 
 
 class _Fp:
-    """F_p[t] for odd p on packed ints: the coefficient of t**i is slot i,
+    """F_p[t] on packed ints: the coefficient of t**i is slot i,
     bits [w*i, w*(i+1)).  A reduced polynomial has every slot in [0, p) and
     a nonzero top slot; between reductions a slot may grow to ``x_max``.
 
@@ -576,6 +515,8 @@ class _Fp:
     ``_reduce`` takes every slot mod p at once by Barrett division: with
     m = ceil(2**s / p) and x_max*p < 2**s, (x*m) >> s is floor(x/p) for
     every x <= x_max, and x*m < 2**w keeps it inside its slot.
+    At p = 2 too: the bias p*(p - 1) = 2 is added before at most
+    (p - 1)**2 = 1 is subtracted, and Barrett's m = 2**(s - 1) is exact.
     """
 
     def __init__(self, p: int, n: int):
@@ -682,10 +623,10 @@ class _Fp:
 
 
 def _packed(f: ModPoly):
-    """The kernel of f's field, and f with its power of t divided out,
+    """A kernel for f's field, and f with its power of t divided out,
     packed; f is nonzero."""
     coeffs = f.coeffs[next(i for i, c in enumerate(f.coeffs) if c) :]
-    field = _F2 if f.p == 2 else _Fp(f.p, len(coeffs))
+    field = _Fp(f.p, len(coeffs))
     return field, field.pack(coeffs)
 
 
@@ -695,7 +636,7 @@ def gcd_fp(f: ModPoly, g: ModPoly) -> ModPoly:
         raise ValueError(f"modulus mismatch: {f.p} != {g.p}")
     if f.is_zero and g.is_zero:
         return f
-    field = _F2 if f.p == 2 else _Fp(f.p, max(len(f.coeffs), len(g.coeffs)))
+    field = _Fp(f.p, max(len(f.coeffs), len(g.coeffs)))
     a, b = (field.pack(h.coeffs) if h.coeffs else 0 for h in (f, g))
     return ModPoly(f.p, field.unpack(field.gcd(a, b)))
 
@@ -719,8 +660,7 @@ def irreducible_factor_degrees(f: ModPoly) -> DegreeMultiset:
     factors of degree d are found as g = gcd(v, t**(p**d) - t), every power
     of them is divided out of v, so what is left of v has only factors of
     degree above d; when deg v < 2(d + 1) it is therefore irreducible (or
-    1).  Over F_2 polynomials are int bitmasks and Frobenius spreads bits;
-    over odd p they are packed ints and Frobenius is square-and-multiply.
+    1).  Polynomials are packed ints and Frobenius is square-and-multiply.
     Multiplicities in f are collapsed to one per distinct factor.
     """
     if f.is_zero:

@@ -77,8 +77,6 @@ def primes_up_to(limit: int) -> list[int]:
 def _pollard_rho(n: int) -> int:
     # Brent's cycle variant, one gcd per product of 128 differences (a batch
     # whose gcd is n is replayed); n odd composite, no prime-power guard needed
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, r, q, d = 2, 1, 1, 1
         while d == 1:

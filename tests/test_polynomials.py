@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,6 @@ from covercalc.polynomials import (
     DegreeMultiset,
     IntPoly,
     ModPoly,
-    eval_at,
     exact_divide,
     gcd_fp,
     int_poly_gcd,
@@ -15,6 +15,7 @@ from covercalc.polynomials import (
     resultant,
     resultant_sylvester,
     sylvester_matrix,
+    _adjugate,
     _gcd_t_power_minus_one,
     _palindromic_solver,
     _seifert_det,
@@ -210,7 +211,7 @@ def test_factor_degree_sum_matches_squarefree_part():
         p = rng.choice([2, 3, 5])
         f = ModPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1])
         expected = squarefree_part(strip_t_power(f)).degree
-        assert irreducible_factor_degrees(f).total_degree() == expected
+        assert sum(d * c for d, c in irreducible_factor_degrees(f)) == expected
 
 
 def test_squarefree_part_handles_pth_powers():
@@ -227,14 +228,14 @@ def test_degree_multiset_validation():
         DegreeMultiset(((0, 1),))
 
 
-# ------------------------------------------------------------------ eval_at
+# --------------------------------------------------------------- evaluation
 
 
-def test_eval_at():
+def test_int_poly_evaluation():
     f = IntPoly([1, -1, 1])
-    assert eval_at(f, 1) == 1
-    assert eval_at(f, -1) == 3
-    assert eval_at(IntPoly(), 7) == 0
+    assert f(1) == 1
+    assert f(-1) == 3
+    assert IntPoly()(7) == 0
 
 
 # ---------------------------------------------------- division and int gcd
@@ -421,7 +422,10 @@ def test_seifert_det_rejects_odd_sizes():
 
 
 def test_palindromic_solver_inverts_its_matrix():
-    for g in range(16):
+    start = time.perf_counter()
+    _palindromic_solver.__wrapped__(25)
+    assert time.perf_counter() - start < 1.0
+    for g in range(26):
         m = [[x**k + x ** (2 * g - k) if k < g else x**g for k in range(g + 1)]
              for x in range(g + 1)]
         adj, det = _palindromic_solver(g)
@@ -431,6 +435,26 @@ def test_palindromic_solver_inverts_its_matrix():
             for j in range(g + 1):
                 entry = sum(adj[i][k] * m[k][j] for k in range(g + 1))
                 assert entry == (det if i == j else 0), (g, i, j)
+
+
+def test_adjugate_matches_cofactors_when_pivots_vanish():
+    # a zero pivot swaps two rows, which flips the sign of what the
+    # elimination ends at; the cofactors carry no such sign
+    rng = random.Random(23)
+    cases = [[[0, 1], [1, 0]], [[0, 2, 1], [1, 0, 0], [0, 1, 3]], [[1, 2, 3], [2, 4, 7], [1, 5, 2]]]
+    while len(cases) < 40:
+        n = rng.randint(1, 5)
+        a = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(n)]
+        if det_fraction(a) != 0:
+            cases.append(a)
+    for a in cases:
+        n = len(a)
+        cofactors = tuple(
+            tuple((-1) ** (i + j) * int(det_fraction([r[:i] + r[i + 1 :] for r in a[:j] + a[j + 1 :]]))
+                  for j in range(n))
+            for i in range(n)
+        )
+        assert _adjugate(a) == (cofactors, int(det_fraction(a))), a
 
 
 def test_seifert_det_raises_on_values_of_no_integer_polynomial(monkeypatch):
@@ -455,12 +479,13 @@ def test_modpoly_rejects_moduli_at_or_above_psi13():
     assert ModPoly(q, (q + 1, 1)).coeffs == (1, 1)
 
 
-def _random_factored(rng, p, max_degree):
-    """A product of random factors over F_p with repeats, p-th powers and a
-    power of t, of degree at most max_degree."""
+def _random_factored(rng, p, max_degree, max_factor=6):
+    """A product of random factors of degree at most max_factor over F_p,
+    with repeats, p-th powers and a power of t, of degree at most
+    max_degree."""
     f = ModPoly(p, [1])
     for _ in range(rng.randint(1, 5)):
-        k = rng.randint(1, 6)
+        k = rng.randint(1, max_factor)
         g = ModPoly(p, [rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)])
         e = rng.choice([1, 1, 2, 3, p])
         if f.degree + e * g.degree > max_degree:
@@ -479,6 +504,31 @@ def test_factor_degrees_match_the_squarefree_oracle(p):
     for _ in range(300):
         f = _random_factored(rng, p, 30)
         assert irreducible_factor_degrees(f) == irreducible_factor_degrees_sqfree(f), f.coeffs
+
+
+def _random_large(rng, p):
+    # degree 31..120: dense random polynomials, whose factors are mostly
+    # large, and products with repeats, p-th powers and powers of t
+    if rng.random() < 0.5:
+        deg = rng.randint(31, 120)
+        return ModPoly(p, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+    while True:
+        f = _random_factored(rng, p, 120, 40)
+        if f.degree > 30:
+            return f
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_kernel_matches_the_oracles_past_degree_30(p):
+    # the slot width grows with the degree, so the kernel is checked well
+    # past the degrees of the tests above, at p = 2 as at p = 3
+    rng = random.Random(12000 + p)
+    for _ in range(40):
+        f = _random_large(rng, p)
+        assert irreducible_factor_degrees(f) == irreducible_factor_degrees_sqfree(f), f.coeffs
+        for n in [rng.randint(1, 400) for _ in range(3)] + [f.degree, 2 * f.degree + 1]:
+            cyc = ModPoly.reduce(IntPoly.t_power_minus_one(n), p)
+            assert _gcd_t_power_minus_one(f, n) == gcd_fp_euclid(f, cyc), (f.coeffs, n)
 
 
 def test_factor_degrees_of_pth_powers_and_t_powers():
