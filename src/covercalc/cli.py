@@ -444,6 +444,11 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
+    # a cover order has about n bits, past the default limit on int <-> str
+    # conversion (4300 digits); the limit is process-wide, so the process
+    # entry point lifts it and library callers keep their own setting
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(run(sys.argv[1:]))
 
 

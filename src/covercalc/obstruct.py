@@ -10,6 +10,15 @@ of strong homotopy-ribbon concordance; no separate mode is needed.
 
 Check ids are stable: ``alex_div``, ``fib_genus``, ``skp_subset:<p>``,
 ``h1_div:<n>``.
+
+A verdict is a pure function of the memoized invariants it compares, so it
+is memoized over those values, not over the knots: ``skp_subset:<p>`` is
+cached by (S(J, p), S(K, p), p), ``h1_div:<n>`` by the pair of cover orders
+(or by n when it is skipped), and the admissible cover indices by the tuple
+of the S(K, p).  Each check still asks for its invariants first, so the
+calls to the public invariant functions are the same as without the caches.
+Every cache is an LRU of ``_CACHE_SIZE`` entries, and a cached
+``CheckResult`` is frozen, so reports can share it.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .covers import admissible, fox_order, skp_set
+from .covers import CoverOrder, admissible, fox_order, skp_set
 from .knots import Knot, KnotTable
 from .polynomials import IntPoly, exact_divide
 from .primes import _CACHE_SIZE, PrimeSet, require_prime
@@ -87,6 +96,10 @@ class ObstructionReport:
         }
 
 
+_ALEX_PASS = CheckResult("alex_div", PASS, "exact division in Z[t]")
+_ALEX_FAIL = CheckResult("alex_div", FAIL, "division leaves a remainder")
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _divides(num: IntPoly, den: IntPoly) -> bool:
     return exact_divide(num, den) is not None
@@ -115,7 +128,11 @@ def skp_containment(J: Knot, K: Knot, p: int) -> CheckResult:
     """Obstruction-set containment S(J, p) within S(K, p); redundant given
     divisibility but kept as an independent cross-check."""
     require_prime(p)
-    sj, sk = skp_set(J, p), skp_set(K, p)
+    return _containment(skp_set(J, p), skp_set(K, p), p)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _containment(sj: PrimeSet, sk: PrimeSet, p: int) -> CheckResult:
     cid = f"skp_subset:{p}"
     if sj.issubset(sk):
         return CheckResult(cid, PASS, f"{_fmt_set(sj)} subset of {_fmt_set(sk)}")
@@ -126,10 +143,19 @@ def skp_containment(J: Knot, K: Knot, p: int) -> CheckResult:
 def h1_order_divisibility(J: Knot, K: Knot, n: int) -> CheckResult:
     """Branched-cover H1 order of J divides that of K, when the polynomial
     divides and both orders are finite; otherwise skipped."""
-    cid = f"h1_div:{n}"
     if not alexander_divides(J, K):
-        return CheckResult(cid, SKIPPED, "polynomial divisibility fails")
-    oj, ok = fox_order(J, n), fox_order(K, n)
+        return _h1_skipped(n)
+    return _h1_verdict(fox_order(J, n), fox_order(K, n))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _h1_skipped(n: int) -> CheckResult:
+    return CheckResult(f"h1_div:{n}", SKIPPED, "polynomial divisibility fails")
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _h1_verdict(oj: CoverOrder, ok: CoverOrder) -> CheckResult:
+    cid = f"h1_div:{oj.n}"
     if oj.infinite or ok.infinite:
         return CheckResult(cid, SKIPPED, "infinite H1 at this cover index")
     if ok.order % oj.order == 0:
@@ -151,24 +177,20 @@ def obstruct(
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     primes_p = tuple(dict.fromkeys(primes_p))  # repeats would repeat check ids
-    checks: list[CheckResult] = []
-    if alexander_divides(J, K):
-        checks.append(CheckResult("alex_div", PASS, "exact division in Z[t]"))
-    else:
-        checks.append(CheckResult("alex_div", FAIL, "division leaves a remainder"))
-    checks.append(fibered_genus_check(J, K))
-    union = PrimeSet(())
+    checks = [_ALEX_PASS if alexander_divides(J, K) else _ALEX_FAIL, fibered_genus_check(J, K)]
+    sk = []
     for p in primes_p:
         checks.append(skp_containment(J, K, p))
-        union = union.union(skp_set(K, p))
-    for n in _admissible_indices(union, max_n):
+        sk.append(skp_set(K, p))
+    for n in _admissible_indices(tuple(sk), max_n):
         checks.append(h1_order_divisibility(J, K, n))
     return ObstructionReport(candidate=(J.name, K.name), checks=tuple(checks))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _admissible_indices(union: PrimeSet, max_n: int) -> tuple[int, ...]:
-    return tuple(n for n in range(1, max_n + 1) if admissible(n, union))
+def _admissible_indices(sk: tuple[PrimeSet, ...], max_n: int) -> tuple[int, ...]:
+    # n is admissible for the union of the S(K, p) iff it is for each of them
+    return tuple(n for n in range(1, max_n + 1) if all(admissible(n, s) for s in sk))
 
 
 def filter_predecessors(

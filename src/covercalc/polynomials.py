@@ -88,6 +88,16 @@ class IntPoly:
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _strip(coeffs))
 
+    def __hash__(self) -> int:
+        # every memo cache keys on IntPolys, so the hash is computed on first
+        # use and kept; the many polynomials that are never hashed pay nothing
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.coeffs,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @classmethod
     def t_power_minus_one(cls, n: int) -> "IntPoly":
         """The polynomial t**n - 1."""

@@ -64,15 +64,50 @@ def test_skp_empty_set():
     assert "= {}" in out
 
 
-def test_module_entry_point_runs_command():
+def _module_cli(args, stdin=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "covercalc.cli", "skp", "3_1", "-p", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "covercalc.cli", *args],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_runs_command():
+    proc = _module_cli(["skp", "3_1", "-p", "2"])
     assert proc.returncode == 0
     assert "obstruction primes S(3_1, 2) = {3}" in proc.stdout
+
+
+def test_entry_point_prints_orders_past_the_int_string_limit():
+    from covercalc.covers import fox_order
+    from covercalc.knots import bundled_table
+
+    # the 4_1 order at n = 12000 has about 5000 digits; Python refuses to
+    # convert ints of more than 4300 by default, and only main() lifts that
+    order = fox_order(bundled_table().get("4_1"), 12000).order
+    assert order.bit_length() > 4300 * 3.33
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        with pytest.raises(ValueError):
+            str(order)
+    text = _module_cli(["cover", "4_1", "--n", "12000"])
+    assert text.returncode == 0, text.stderr
+    got = text.stdout.splitlines()[2].split()
+    assert got[0] == "12000"
+    as_json = _module_cli(["cover", "4_1", "--n", "12000", "--json"])
+    assert as_json.returncode == 0, as_json.stderr
+    rendered = _module_cli(["render", "-"], stdin=as_json.stdout)
+    assert rendered.returncode == 0, rendered.stderr
+    assert rendered.stdout == text.stdout
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(got[1]) == order
+        assert json.loads(as_json.stdout)["rows"][0]["order"] == order
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- obstruct

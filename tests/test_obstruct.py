@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 
 import pytest
 
@@ -305,3 +306,56 @@ def test_obstruct_asks_each_prime_once():
     ids = [c.check_id for c in twice.checks]
     assert ids.count("skp_subset:3") == 1 and ids.count("skp_subset:2") == 1
     assert ids.index("skp_subset:3") < ids.index("skp_subset:2")
+
+
+def _clear_every_cache():
+    # every memo cache of the package, found by its cache_clear, so that a
+    # cache added later is cleared too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("covercalc."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize("primes_p,max_n", [(DEFAULT_PRIMES, 30), ((7, 2), 45)])
+def test_memoized_verdicts_match_a_cold_run(primes_p, max_n):
+    ob = importlib.import_module("covercalc.obstruct")
+    for cache in (ob._containment, ob._h1_skipped, ob._h1_verdict, ob._admissible_indices):
+        assert cache.cache_info().maxsize == ob._CACHE_SIZE
+    # warm every cache over all pairs first, so that a verdict cached for one
+    # pair is offered to every other pair
+    for J in TABLE:
+        for K_ in TABLE:
+            obstruct(J, K_, primes_p=primes_p, max_n=max_n)
+    warm = {
+        (J.name, K_.name): obstruct(J, K_, primes_p=primes_p, max_n=max_n).to_json_dict()
+        for J in TABLE
+        for K_ in TABLE
+    }
+    for (jn, kn), got in warm.items():
+        _clear_every_cache()
+        assert ob._containment.cache_info().currsize == 0
+        fresh = bundled_table()  # Knot.tilde is stored on the knot
+        cold = obstruct(fresh.get(jn), fresh.get(kn), primes_p=primes_p, max_n=max_n)
+        assert cold.to_json_dict() == got, (jn, kn)
+
+
+def test_filter_formats_each_containment_verdict_once(monkeypatch):
+    from covercalc.covers import skp_set
+
+    ob = importlib.import_module("covercalc.obstruct")
+    calls = []
+    fmt = ob._fmt_set
+
+    def counting(s):
+        calls.append(s)
+        return fmt(s)
+
+    monkeypatch.setattr(ob, "_fmt_set", counting)
+    ob._containment.cache_clear()
+    _filter_all_targets()
+    distinct = {(skp_set(J, p), skp_set(K_, p), p) for J in TABLE for K_ in TABLE for p in DEFAULT_PRIMES}
+    assert calls
+    # a pass formats S(J, p) and S(K, p), a fail only S(K, p)
+    assert len(calls) <= 2 * len(distinct) < 2 * len(TABLE) ** 2 * len(DEFAULT_PRIMES)

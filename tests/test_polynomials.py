@@ -47,6 +47,22 @@ def rand_poly(rng, max_deg=8, max_coeff=20, nonzero=True):
             return f
 
 
+def test_equal_int_polys_hash_equal_however_padded():
+    # IntPoly keeps its hash after the first use, so the kept value must
+    # agree with a fresh one built from any padding of the same coefficients
+    rng = random.Random(11)
+    for _ in range(200):
+        f = rand_poly(rng, nonzero=False)
+        first = IntPoly(list(f.coeffs) + [0] * rng.randint(0, 3))
+        hash(first)
+        for padded in (f.coeffs, list(f.coeffs) + [0] * rng.randint(1, 4), iter(f.coeffs + (0,))):
+            g = IntPoly(padded)
+            assert g == first and hash(g) == hash(first) == hash(g)
+            assert {first: 1}[g] == 1
+    assert IntPoly() == IntPoly((0, 0)) and hash(IntPoly()) == hash(IntPoly([0]))
+    assert IntPoly((1, 2)) != IntPoly((1, 2, 3))
+
+
 # ---------------------------------------------------------------- resultant
 
 
