@@ -9,7 +9,8 @@ arithmetic on top of exact integer factorials and genus identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from ._value import _is_int, _Value
 
 __all__ = [
     "V3",
@@ -61,22 +62,26 @@ def km_volume_bound(chi: int, dilatation: float) -> float:
     return 3.0 * math.pi * abs(chi) * math.log(dilatation)
 
 
-@dataclass(frozen=True)
-class FixSample:
-    """A fixed-point count (or HFK-dimension stand-in) for the n-th iterate."""
+class FixSample(_Value):
+    """A fixed-point count (or HFK-dimension stand-in) for the n-th iterate;
+    both are integers (a bool is not)."""
 
-    n: int
-    count: int
+    _fields = ("n", "count")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, count: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "count", count)
+        if not _is_int(n):
+            raise ValueError(f"iterate index must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("iterate index must be >= 1")
-        if self.count < 0:
+        if not _is_int(count):
+            raise ValueError(f"count must be an integer, got {count!r}")
+        if count < 0:
             raise ValueError("count must be >= 0")
 
 
-@dataclass(frozen=True)
-class DilatationEstimate:
+class DilatationEstimate(_Value):
     """min over samples of count**(1/n): an upper bound for the dilatation
     whenever each count genuinely bounds the fixed points of that iterate.
 
@@ -84,9 +89,12 @@ class DilatationEstimate:
     flagged degenerate instead of trusted.
     """
 
-    upper: float
-    witnesses: tuple[FixSample, ...]
-    degenerate: bool = False
+    _fields = ("upper", "witnesses", "degenerate")
+
+    def __init__(self, upper: float, witnesses: tuple[FixSample, ...], degenerate: bool = False):
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def dilatation_upper(samples) -> DilatationEstimate:
@@ -137,22 +145,22 @@ def connected_sum_genus(genera) -> int:
     return sum(genera)
 
 
-@dataclass(frozen=True)
-class SatelliteProfile:
+class SatelliteProfile(_Value):
     """Bookkeeping for a claimed fibered-satellite decomposition: the total
     fiber genus, the Euler characteristic of the outermost piece, and one
     (multiplicity, companion genus) pair per orbit of companion copies."""
 
-    total_genus: int
-    outer_chi: int
-    orbits: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    _fields = ("total_genus", "outer_chi", "orbits")
 
-    def __post_init__(self):
-        if self.total_genus < 1:
+    def __init__(self, total_genus: int, outer_chi: int, orbits: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "total_genus", total_genus)
+        object.__setattr__(self, "outer_chi", outer_chi)
+        object.__setattr__(self, "orbits", orbits)
+        if total_genus < 1:
             raise ValueError("total genus must be >= 1")
-        if self.outer_chi > -1:
+        if outer_chi > -1:
             raise ValueError("outer Euler characteristic must be <= -1")
-        for m, gc in self.orbits:
+        for m, gc in orbits:
             if m < 1 or gc < 1:
                 raise ValueError("orbit multiplicities and genera must be >= 1")
 

@@ -155,6 +155,31 @@ def _cmd_filter(args) -> dict:
     }
 
 
+def _read_samples(path: str) -> list:
+    # a JSON array of {"n": int, "count": int} objects; a bad record is named
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"bad samples file {path}: {exc}") from None
+    if not isinstance(raw, list):
+        raise CliError(f"bad samples file {path}: expected a JSON array of {{n, count}} objects")
+    samples = []
+    for i, rec in enumerate(raw, 1):
+        if not isinstance(rec, dict) or "n" not in rec or "count" not in rec:
+            raise CliError(
+                f"bad samples file {path}: record {i} ({json.dumps(rec)}) is not an "
+                "{n, count} object"
+            )
+        try:
+            samples.append(geo.FixSample(rec["n"], rec["count"]))
+        except ValueError as exc:
+            raise CliError(
+                f"bad samples file {path}: record {i} ({json.dumps(rec)}): {exc}"
+            ) from None
+    return samples
+
+
 def _cmd_bounds(args) -> dict:
     table, _ = _resolve_table(args.table)
     knot = _get_knot(table, args.name)
@@ -179,12 +204,7 @@ def _cmd_bounds(args) -> dict:
         "dilatation": None,
     }
     if args.samples is not None:
-        try:
-            with open(args.samples, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            samples = [geo.FixSample(n=rec["n"], count=rec["count"]) for rec in raw]
-        except (OSError, json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
-            raise CliError(f"bad samples file {args.samples}: {exc}") from None
+        samples = _read_samples(args.samples)
         if not samples:
             raise CliError(f"samples file {args.samples} is empty")
         est = geo.dilatation_upper(samples)

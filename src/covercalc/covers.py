@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import _Value
 from .knots import Knot
 from .polynomials import (
     IntPoly,
@@ -49,18 +49,27 @@ __all__ = [
     "hfk_dim_upper",
 ]
 
-@dataclass(frozen=True)
-class CoverOrder:
+
+class CoverOrder(_Value):
     """|H1| of the n-fold branched cyclic cover; order 0 means infinite."""
 
-    n: int
-    order: int
+    _fields = ("n", "order")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, order: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
+        if n < 1:
             raise ValueError("cover index must be >= 1")
-        if self.order < 0:
+        if order < 0:
             raise ValueError("order must be >= 0")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.order == other.order
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.order))
 
     @property
     def infinite(self) -> bool:
@@ -194,14 +203,16 @@ def admissible_primes(K: Knot, p: int, limit: int) -> list[int]:
     return [n for n in primes_up_to(limit) if admissible(n, s)]
 
 
-@dataclass(frozen=True)
-class HfkDimBound:
+class HfkDimBound(_Value):
     """Upper bounds for dim HFK of the lifted knot in the n-fold cover of a
     knot with arc index delta: the tight (delta!)**n / 2**(delta-1), rounded
     up when not integral, and the loose (delta!)**n."""
 
-    tight: int
-    loose: int
+    _fields = ("tight", "loose")
+
+    def __init__(self, tight: int, loose: int):
+        object.__setattr__(self, "tight", tight)
+        object.__setattr__(self, "loose", loose)
 
 
 def hfk_dim_upper(delta: int, n: int) -> HfkDimBound:

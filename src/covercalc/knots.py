@@ -10,11 +10,10 @@ integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
+from ._value import _is_int, _Value
 from .polynomials import IntPoly, _seifert_det
 
 __all__ = [
@@ -35,18 +34,18 @@ class KnotTableError(ValueError):
     """Raised for malformed or inconsistent knot-table data."""
 
 
-@dataclass(frozen=True)
-class AlexanderPoly:
+class AlexanderPoly(_Value):
     """Symmetric Laurent polynomial with value 1 at t = 1.
 
     ``coeffs[i]`` is the coefficient of t**(i - d) where d is the
     half-degree; the sequence has odd length 2d + 1 and is palindromic.
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        c = self.coeffs
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        c = coeffs
         if len(c) % 2 == 0 or not c:
             raise KnotTableError(f"coefficient list must have odd length, got {len(c)}")
         if c != c[::-1]:
@@ -131,22 +130,30 @@ def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
     return AlexanderPoly(tuple(full))
 
 
-@dataclass(frozen=True)
-class Knot:
+class Knot(_Value):
     """A named knot with its Alexander polynomial and optional extra data.
 
     genus and arc_index are user-supplied facts, never computed; operations
     that need them fail loudly when they are absent.
     """
 
-    name: str
-    alexander: AlexanderPoly
-    genus: int | None = None
-    arc_index: int | None = None
-    fibered: bool = False
-    seifert: tuple[tuple[int, ...], ...] | None = None
+    _fields = ("name", "alexander", "genus", "arc_index", "fibered", "seifert")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        alexander: AlexanderPoly,
+        genus: int | None = None,
+        arc_index: int | None = None,
+        fibered: bool = False,
+        seifert: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "arc_index", arc_index)
+        object.__setattr__(self, "fibered", fibered)
+        object.__setattr__(self, "seifert", seifert)
         if not self.name:
             raise KnotTableError("knot name must be nonempty")
         if self.genus is not None and self.genus < 0:
@@ -173,7 +180,8 @@ class Knot:
 
     @cached_property
     def tilde(self) -> IntPoly:
-        # kept in the instance dict, which the frozen dataclass still has
+        # cached_property writes to the instance dict past the frozen
+        # __setattr__, so Knot has no __slots__
         return tilde(self.alexander)
 
 
@@ -208,11 +216,6 @@ class KnotTable:
 
 
 _FIELDS = {"name", "alexander", "genus", "arc_index", "fibered", "seifert"}
-
-
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _knot_from_record(rec: dict) -> Knot:
@@ -280,5 +283,6 @@ def load_table_file(path) -> KnotTable:
 def bundled_table() -> KnotTable:
     """The table shipped with the package (unknot through the 6-crossing
     knots plus two connected sums)."""
-    text = resources.files("covercalc").joinpath("data/knots.json").read_text("utf-8")
-    return load_table(text)
+    # read beside this module, not through importlib.resources, which imports
+    # inspect and tempfile (about 30 ms of every CLI process on Python 3.12+)
+    return load_table((Path(__file__).parent / "data" / "knots.json").read_text("utf-8"))

@@ -23,9 +23,9 @@ Every cache is an LRU of ``_CACHE_SIZE`` entries, and a cached
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import _Value
 from .covers import CoverOrder, admissible, fox_order, skp_set
 from .knots import Knot, KnotTable
 from .polynomials import IntPoly, exact_divide
@@ -55,24 +55,26 @@ DEFAULT_PRIMES = (2, 3, 5)
 DEFAULT_MAX_N = 30
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    verdict: str
-    detail: str
+class CheckResult(_Value):
+    _fields = ("check_id", "verdict", "detail")
 
-    def __post_init__(self):
-        if self.verdict not in (PASS, FAIL, SKIPPED):
-            raise ValueError(f"bad verdict {self.verdict!r}")
+    def __init__(self, check_id: str, verdict: str, detail: str):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "detail", detail)
+        if verdict not in (PASS, FAIL, SKIPPED):
+            raise ValueError(f"bad verdict {verdict!r}")
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(_Value):
     """Per-check verdicts for a candidate pair; overall passes iff no check
     failed (skips do not count against the candidate)."""
 
-    candidate: tuple[str, str]
-    checks: tuple[CheckResult, ...]
+    _fields = ("candidate", "checks")
+
+    def __init__(self, candidate: tuple[str, str], checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def overall(self) -> str:

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
+from ._value import _Value
 from .primes import _CACHE_SIZE, PSI_13, is_prime, prime_factors
 
 __all__ = [
@@ -79,18 +79,23 @@ def _divexact(a: int, b: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(_Value):
     """Polynomial over Z; ``coeffs[i]`` is the coefficient of t**i."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _strip(coeffs))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
     def __hash__(self) -> int:
         # every memo cache keys on IntPolys, so the hash is computed on first
-        # use and kept; the many polynomials that are never hashed pay nothing
+        # use and kept in the instance dict; the many polynomials that are
+        # never hashed pay nothing
         try:
             return self._hash
         except AttributeError:
@@ -438,8 +443,7 @@ def _positive_primitive(f: IntPoly) -> IntPoly:
     return -out if out.lc < 0 else out
 
 
-@dataclass(frozen=True)
-class ModPoly:
+class ModPoly(_Value):
     """Polynomial over the prime field F_p, residues stored in [0, p).
 
     A value type: the modulus is checked for primality and the coefficients
@@ -447,8 +451,7 @@ class ModPoly:
     of F_p[t] runs on the packed kernel below.
     """
 
-    p: int
-    coeffs: tuple[int, ...]
+    _fields = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs=()):
         if not is_prime(p):
@@ -457,6 +460,14 @@ class ModPoly:
             raise ValueError(f"modulus {p}: primality is proven only below {PSI_13}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", _strip(c % p for c in coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
 
     @classmethod
     def reduce(cls, f: IntPoly, p: int) -> "ModPoly":
@@ -481,19 +492,19 @@ class ModPoly:
         return f"{list(self.coeffs)} (mod {self.p})"
 
 
-@dataclass(frozen=True)
-class DegreeMultiset:
+class DegreeMultiset(_Value):
     """Degrees of the distinct irreducible factors of a polynomial, each
     factor counted once, as (degree, count) pairs with degrees strictly
     increasing."""
 
-    entries: tuple[tuple[int, int], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        for d, c in self.entries:
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "entries", entries)
+        for d, c in entries:
             if d < 1 or c < 1:
                 raise ValueError("degrees and counts must be positive")
-        if any(a[0] >= b[0] for a, b in zip(self.entries, self.entries[1:])):
+        if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
             raise ValueError("degrees must be strictly increasing")
 
     def degrees(self) -> list[int]:

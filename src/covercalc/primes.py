@@ -11,8 +11,9 @@ user-supplied prime p is therefore accepted only when p < PSI_13
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._value import _Value
 
 # Witnesses certifying Miller-Rabin for all n < PSI_13, the least strong
 # pseudoprime to all of them; the first twelve already cover every 64-bit integer.
@@ -122,18 +123,26 @@ def _factor_into(n: int, out: set[int]) -> None:
     _factor_into(n // d, out)
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(_Value):
     """A finite set of primes, kept strictly increasing."""
 
-    primes: tuple[int, ...]
+    _fields = ("primes",)
 
-    def __post_init__(self):
-        for q in self.primes:
+    def __init__(self, primes: tuple[int, ...]):
+        object.__setattr__(self, "primes", primes)
+        for q in primes:
             if not is_prime(q):
                 raise ValueError(f"{q} is not prime")
-        if any(a >= b for a, b in zip(self.primes, self.primes[1:])):
+        if any(a >= b for a, b in zip(primes, primes[1:])):
             raise ValueError("primes must be strictly increasing")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.primes == other.primes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.primes,))
 
     @classmethod
     def of(cls, primes) -> "PrimeSet":
@@ -153,7 +162,7 @@ class PrimeSet:
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
         # both operands are already validated, so the primality checks of
-        # __post_init__ are skipped
+        # __init__ are skipped
         out = object.__new__(PrimeSet)
         object.__setattr__(out, "primes", tuple(sorted(set(self.primes + other.primes))))
         return out

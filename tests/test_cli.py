@@ -234,6 +234,38 @@ def test_bounds_bad_samples(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ('[{"n": 2, "count": true}]', 'record 1 ({"n": 2, "count": true}): count must be an '
+                                      "integer, got True"),
+        ('[{"n": 2, "count": 9}, {"n": 3, "count": 1.5}]',
+         'record 2 ({"n": 3, "count": 1.5}): count must be an integer, got 1.5'),
+        ('[{"n": false, "count": 9}]',
+         'record 1 ({"n": false, "count": 9}): iterate index must be an integer, got False'),
+        ('[{"n": 2}]', 'record 1 ({"n": 2}) is not an {n, count} object'),
+        ("[1]", "record 1 (1) is not an {n, count} object"),
+        ('[{"n": 2, "count": 9}, [2, 9]]', "record 2 ([2, 9]) is not an {n, count} object"),
+        ('{"n": 2, "count": 9}', "expected a JSON array of {n, count} objects"),
+        ('"abc"', "expected a JSON array of {n, count} objects"),
+    ],
+)
+def test_bounds_samples_names_the_bad_record(tmp_path, capsys, doc, reason):
+    samples = tmp_path / "s.json"
+    samples.write_text(doc)
+    code, out = capture(["bounds", "3_1", "--samples", str(samples)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: bad samples file {samples}: {reason}\n"
+
+
+def test_bounds_samples_ignore_extra_keys(tmp_path):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps([{"n": 2, "count": 9, "note": "x"}]))
+    code, out = capture(["bounds", "3_1", "--samples", str(samples)])
+    assert code == 0
+    assert "fixed-point samples: (2, 9)" in out
+
+
 # ------------------------------------------------------------------- table
 
 
