@@ -107,8 +107,22 @@ def dilatation_upper(samples) -> DilatationEstimate:
         raise ValueError("sample indices must be strictly increasing")
     if any(s.count == 0 for s in samples):
         return DilatationEstimate(upper=0.0, witnesses=samples, degenerate=True)
-    upper = min(s.count ** (1.0 / s.n) for s in samples)
+    upper = min(_root(s.count, s.n) for s in samples)
+    if upper == math.inf:
+        raise ValueError("every sample's count**(1/n) is beyond float range")
     return DilatationEstimate(upper=upper, witnesses=samples)
+
+
+def _root(count: int, n: int) -> float:
+    # count**(1/n); a count beyond float range goes through the log domain,
+    # and a root beyond it is inf, which only loses the min
+    try:
+        return count ** (1.0 / n)
+    except OverflowError:
+        try:
+            return math.exp(math.log(count) / n)
+        except OverflowError:
+            return math.inf
 
 
 def torus_knot_genus(p: int, q: int) -> int:

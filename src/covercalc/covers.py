@@ -2,17 +2,19 @@
 
 The order of H1 of the n-fold branched cyclic cover is the absolute value of
 the integer resultant of t**n - 1 with the degree-2d polynomial attached to
-the knot; order 0 encodes an infinite group.  It is found without building
-t**n - 1: t**n is reduced mod the polynomial by square-and-multiply in Z[t],
-and one subresultant chain of degree 2d is left.  The orders are memoized in
-one bounded LRU dict keyed by (polynomial, n), which the Z/p-sphere test
-peeks: H1(cover; Z/p) = H1(cover) (x) Z/p, so the cover is a Z/p-homology
-sphere iff its order is nonzero and prime to p.  When the order is not in
-the dict (it may have ~n bits), that test runs on the packed F_p[t] kernel
-instead and computes no order.  The obstruction set S(K, p)
-collects every prime dividing prod(p**d_j - 1) over the degrees d_j of the
-mod-p irreducible factors other than t, and covers with order-n branching
-avoid p-torsion whenever n is a multiple of no element of S(K, p).
+the knot; order 0 encodes an infinite group.  That polynomial is
+palindromic, so its roots pair as alpha, 1/alpha, and the order is the
+resultant of 2 - V_n with its degree-d trace polynomial D (the proof is in
+``order_from_tilde``): V_n is reduced mod D by the Lucas ladder in Z[x],
+and one subresultant chain of degree d is left; t**n - 1 is never built.
+The orders are memoized in one bounded LRU dict keyed by (polynomial, n),
+which the Z/p-sphere test peeks: H1(cover; Z/p) = H1(cover) (x) Z/p, so the
+cover is a Z/p-homology sphere iff its order is nonzero and prime to p.
+When the order is not in the dict (it may have ~n bits), that test runs on
+the packed F_p[t] kernel instead and computes no order.  The obstruction
+set S(K, p) collects every prime dividing prod(p**d_j - 1) over the degrees
+d_j of the mod-p irreducible factors other than t, and covers with order-n
+branching avoid p-torsion whenever n is a multiple of no element of S(K, p).
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .polynomials import (
     IntPoly,
     ModPoly,
     _gcd_t_power_minus_one,
+    _lucas_mod,
     _subresultant,
     _t_power_mod,
+    _trace_poly,
     int_poly_gcd,
     irreducible_factor_degrees,
     resultant,
@@ -77,26 +81,34 @@ class CoverOrder(_Value):
 
 
 def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
-    """|Res_Z(t**n - 1, f)| for the degree-2d integer polynomial f.
+    """|Res_Z(t**n - 1, f)| for a nonzero integer polynomial f.
 
-    t**n - 1 is never built.  With b = +-f, a = lc(b) > 0 and m = deg b,
-    square-and-multiply in Z[t] gives R / a**k = t**n mod b with deg R < m,
-    and g = R - a**k is a**k (t**n - 1) mod b.  For n >= m, the subresultant
-    chain of (t**n - 1, b) is entered after its first step: the pseudo-
-    remainder a**(n-m+1) (t**n - 1 mod b) = a**(n-m+1-k) g (integral, as
-    R / a**k is in lowest terms), with scalars a and a**(n-m).  For n < m,
-    g = t**n - 1 and the chain starts at (f, g).  Either way one chain of
-    degree m follows O(log n) products of polynomials of degree below m.
-    A zero resultant must come from a shared factor, and
-    gcd_Q(f, t**n - 1) = gcd_Q(f, g) because g = a**k (t**n - 1) mod b.
+    A knot's f is palindromic of degree 2d: f(t) = t**d D(t + 1/t) with
+    deg D = d and lc D = lc f (``_trace_poly``).  Its roots pair as alpha,
+    1/alpha over the roots beta = alpha + 1/alpha of D, and (alpha**n - 1)
+    (alpha**-n - 1) = 2 - V_n(beta) for V_n(t + 1/t) = t**n + t**-n, so
+    Res(t**n - 1, f) and Res(D, 2 - V_n) are both lc**n prod 2 - V_n(beta).
+    With m = d, A = 2 - V_n, b = +-D and a = lc(b) > 0, the Lucas ladder
+    gives R / a**k = V_n mod b in lowest terms and g = 2 a**k - R.  Any
+    other f keeps m = deg f, A = t**n - 1, b = +-f, R / a**k = t**n mod b
+    and g = R - a**k.  Either way g / a**k = A mod b, so for n >= m the
+    chain of (A, b) is entered after its first step: the pseudo-remainder
+    a**(n-m+1-k) g (integral, R / a**k being in lowest terms), with scalars
+    a and a**(n-m).  For n < m, g = A and the chain starts at (D or f, g).
+    A zero resultant must come from a shared factor of b and g = a**k A mod b.
     """
     if n < 1:
         raise ValueError("cover index must be >= 1")
     if f.degree < 1:  # Res(t**n - 1, c) = c**n; the zero f shares every factor
         return CoverOrder(n=n, order=abs(f(0)) ** n)
-    R, k = _t_power_mod(f, n)
+    if f.degree % 2 == 0 and f.coeffs == f.coeffs[::-1]:
+        f = _trace_poly(f)
+        R, k = _lucas_mod(f, n)
+        g = IntPoly((2 * abs(f.lc) ** k,)) - IntPoly(R)
+    else:
+        R, k = _t_power_mod(f, n)
+        g = IntPoly(R) - IntPoly((abs(f.lc) ** k,))
     a, m = abs(f.lc), f.degree
-    g = IntPoly(R) - IntPoly((a**k,))
     if n < m:
         res = resultant(f, g)
     else:

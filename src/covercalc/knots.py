@@ -10,8 +10,8 @@ integer.
 from __future__ import annotations
 
 import json
+import os
 from functools import cached_property
-from pathlib import Path
 
 from ._value import _is_int, _Value
 from .polynomials import IntPoly, _seifert_det
@@ -273,8 +273,14 @@ def load_table(document) -> KnotTable:
 
 
 def load_table_file(path) -> KnotTable:
+    # the file is opened under the name pathlib would give it ('./a//b' is
+    # 'a/b', '' is '.'), which is the name that error messages have shown
+    name = os.fspath(path)
+    root = "//" if name[:2] == "//" and name[2:3] != "/" else "/" * name.startswith("/")
+    name = root + "/".join(p for p in name.split("/") if p not in ("", ".")) or "."
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(name, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise KnotTableError(f"cannot read table {path}: {exc}") from None
     return load_table(text)
@@ -285,4 +291,5 @@ def bundled_table() -> KnotTable:
     knots plus two connected sums)."""
     # read beside this module, not through importlib.resources, which imports
     # inspect and tempfile (about 30 ms of every CLI process on Python 3.12+)
-    return load_table((Path(__file__).parent / "data" / "knots.json").read_text("utf-8"))
+    with open(os.path.join(os.path.dirname(__file__), "data", "knots.json"), encoding="utf-8") as fh:
+        return load_table(fh.read())

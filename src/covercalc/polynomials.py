@@ -10,9 +10,14 @@ The two resultant routines are deliberately independent of each other:
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
 The cover orders run one subresultant chain (``_subresultant``), entered
-at (f, g) or after the first step of (t**n - 1, f): t**n is first reduced
-mod f by square-and-multiply in Z[t] (``_t_power_mod``, the integer
-counterpart of the F_p route below), so the chain has degree deg f.
+at (D, g) or after the first step of (2 - V_n, D), for the trace
+polynomial D of a palindromic f of degree 2d (f(t) = t**d D(t + 1/t),
+``_trace_poly``) and the Dickson polynomial V_n(t + 1/t) = t**n + t**-n:
+V_n is first reduced mod D by the Lucas ladder in Z[x] (``_lucas_mod``),
+so the ladder and the chain have degree d.  Any other f takes the chain of
+(t**n - 1, f), with t**n reduced mod f by square-and-multiply in Z[t]
+(``_t_power_mod``, the integer counterpart of the F_p route below).  Both
+routes put every pseudo-reduced product in lowest terms with ``_reduce``.
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
 2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
@@ -141,14 +146,7 @@ class IntPoly(_Value):
         return IntPoly(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -193,52 +191,102 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return r
 
 
+def _reduce(r: list[int], k: int, b: Sequence[int]) -> tuple[list[int], int]:
+    # (R, j) with R / a**j = (r / a**k) mod b over Q in lowest terms and
+    # deg R < deg b, where a = lc(b) > 0: _prem scales r by a power of a,
+    # which is added to k, and the powers of a common to every coefficient
+    # are divided back out, at most k of them; a = 1 gives j = 0
+    m, a = len(b) - 1, b[-1]
+    k += max(len(r) - m, 0)
+    r = _prem(r, b)
+    if a == 1:
+        return r, 0
+    c, j = math.gcd(*r), 0
+    while j < k and c % a == 0:
+        c //= a
+        j += 1
+    if j:
+        d = a**j
+        r = [x // d for x in r]
+    return r, k - j
+
+
+def _mul(r: Sequence[int], s: Sequence[int]) -> list[int]:
+    out = [0] * (len(r) + len(s) - 1)
+    for i, x in enumerate(r):
+        if x:
+            for j, y in enumerate(s):
+                out[i + j] += x * y
+    return out
+
+
 def _t_power_mod(f: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
     """(R, k) with R / a**k = t**n mod f over Q and deg R < deg f, where
     a = |lc(f)|, f is nonzero and n >= 1; R is a coefficient tuple.
 
     Left-to-right square-and-multiply in Z[t] (t**n mod f = t**n mod -f,
-    so f is taken with a positive leading coefficient): each square, and
-    each product with t, is pseudo-reduced by ``_prem`` on at most
-    2 deg f coefficients, which scales it by a power of a that k counts,
-    and the powers of a common to every coefficient are divided back out,
-    so k and the coefficients stay small.  When a = 1, k stays 0.  The
-    cost is O(log n) products of polynomials of degree below deg f.
+    so f is taken with a positive leading coefficient), each square and
+    each product with t put in lowest terms by ``_reduce``, so k and the
+    coefficients stay small: O(log n) products of degree below deg f.
     """
     b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
-    m, a = len(b) - 1, b[-1]
-
-    def reduce(r, k):
-        k += max(len(r) - m, 0)  # the exponent of a that _prem applies
-        r = _prem(r, b)
-        if a == 1:
-            return r, 0
-        c, j = math.gcd(*r), 0
-        while j < k and c % a == 0:
-            c //= a
-            j += 1
-        if j:
-            d = a**j
-            r = [x // d for x in r]
-        return r, k - j
-
-    # the leading bits e of n with e < 2m only square and shift a monomial,
-    # so the powering starts from t**e itself
+    # the leading bits e of n with e < 2 deg f only square and shift a
+    # monomial, so the powering starts from t**e itself
     s = 0
-    while n >> s >= max(2 * m, 2):
+    while n >> s >= max(2 * len(b) - 2, 2):
         s += 1
-    r, k = reduce([0] * (n >> s) + [1], 0)
+    r, k = _reduce([0] * (n >> s) + [1], 0, b)
     for bit in range(s - 1, -1, -1):
-        sq = [0] * (2 * len(r) - 1)  # r**2, each cross term taken once
-        for i, x in enumerate(r):
-            if x:
-                sq[2 * i] += x * x
-                x2 = 2 * x
-                for j in range(i + 1, len(r)):
-                    sq[i + j] += x2 * r[j]
-        r, k = reduce(sq, 2 * k)
+        r, k = _reduce(_mul(r, r), 2 * k, b)
         if n >> bit & 1:
-            r, k = reduce([0] + r, k)
+            r, k = _reduce([0] + r, k, b)
+    return tuple(r), k
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _trace_poly(f: IntPoly) -> IntPoly:
+    """D with f(t) = t**d D(t + 1/t), for f palindromic of degree 2d: as
+    f(t) / t**d = c_d + sum over k >= 1 of c_(d+k) (t**k + t**-k),
+    D = c_d + sum of c_(d+k) V_k for the Dickson polynomials V_k, with
+    V_k(t + 1/t) = t**k + t**-k, V_0 = 2, V_1 = x and
+    V_(k+1) = x V_k - V_(k-1); deg D = d and lc D = lc f."""
+    c = f.coeffs
+    d = len(c) // 2
+    D = [c[d]] + [0] * d
+    v0, v1 = [2], [0, 1]
+    for k in range(1, d + 1):
+        for i, x in enumerate(v1):
+            D[i] += c[d + k] * x
+        v0, v1 = v1, [x - y for x, y in zip_longest([0] + v1, v0, fillvalue=0)]
+    return IntPoly(D)
+
+
+def _lucas_mod(D: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
+    """(R, k) with R / a**k = V_n mod D over Q and deg R < deg D, where
+    a = |lc(D)|, deg D >= 1 and n >= 1; R is a coefficient tuple.
+
+    The Lucas ladder: (V_j, V_(j+1)) mod D follows the leading bits j of
+    n // 2 by V_2j = V_j**2 - 2 and V_(2j+1) = V_j V_(j+1) - x, and each
+    product is put in lowest terms by ``_reduce`` as in ``_t_power_mod``:
+    O(log n) products of polynomials of degree below deg D.
+    """
+    b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
+    a = b[-1]
+
+    def double(r, k):  # V_2j from V_j
+        sq = _mul(r, r) or [0]
+        sq[0] -= 2 * a ** (2 * k)
+        return _reduce(sq, 2 * k, b)
+
+    def add(r, kr, s, ks):  # V_(2j+1) from V_j and V_(j+1)
+        p = _mul(r, s) + [0] * (3 - len(r) - len(s))
+        p[1] -= a ** (kr + ks)
+        return _reduce(p, kr + ks, b)
+
+    u, w = ([2], 0), ([0, 1], 0)  # V_0 and V_1
+    for bit in bin(n >> 1)[2:]:
+        u, w = (add(*u, *w), double(*w)) if bit == "1" else (double(*u), add(*u, *w))
+    r, k = double(*u) if n % 2 == 0 else add(*u, *w)
     return tuple(r), k
 
 

@@ -140,6 +140,18 @@ def test_dilatation_convergence():
         assert lam * (1 - 1e-9) <= u <= 1.01 * lam, (lam, u)
 
 
+def test_dilatation_counts_beyond_float_range():
+    # a count above ~1.8e308 has no float; its root comes from the log
+    # domain, a root beyond float range only loses the min, and no finite
+    # root at all is an error rather than an OverflowError
+    huge = 10**400
+    assert math.isclose(dilatation_upper([FixSample(2, huge)]).upper, 1e200, rel_tol=1e-12)
+    assert dilatation_upper([FixSample(1, huge), FixSample(2, 9)]).upper == 3.0
+    assert dilatation_upper([FixSample(1, 9), FixSample(2, huge)]).upper == 9.0
+    with pytest.raises(ValueError, match="beyond float range"):
+        dilatation_upper([FixSample(1, huge), FixSample(2, huge * huge)])
+
+
 def test_dilatation_at_least_one():
     rng = random.Random(5)
     for _ in range(50):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,6 +257,19 @@ def test_bounds_samples_names_the_bad_record(tmp_path, capsys, doc, reason):
     code, out = capture(["bounds", "3_1", "--samples", str(samples)])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: bad samples file {samples}: {reason}\n"
+
+
+def test_bounds_samples_beyond_float_range(tmp_path, capsys):
+    samples = tmp_path / "s.json"
+    samples.write_text('[{"n": 2, "count": 1%s}]' % ("0" * 400))
+    code, out = capture(["bounds", "3_1", "--samples", str(samples)])
+    assert code == 0
+    upper = next(line for line in out.splitlines() if line.startswith("dilatation upper"))
+    assert math.isclose(float(upper.split(": ")[1]), 1e200, rel_tol=1e-12)
+    samples.write_text('[{"n": 1, "count": 1%s}]' % ("0" * 400))
+    code, out = capture(["bounds", "3_1", "--samples", str(samples)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: every sample's count**(1/n) is beyond float range\n"
 
 
 def test_bounds_samples_ignore_extra_keys(tmp_path):

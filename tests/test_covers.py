@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -19,8 +20,11 @@ from covercalc.knots import bundled_table
 from covercalc.polynomials import (
     IntPoly,
     ModPoly,
+    _lucas_mod,
     _prem,
+    _subresultant,
     _t_power_mod,
+    _trace_poly,
     int_poly_gcd,
     resultant,
     resultant_sylvester,
@@ -75,14 +79,18 @@ def test_infinite_order_comes_from_cyclotomic_factor():
 def test_zero_resultant_without_common_factor_raises(monkeypatch):
     import covercalc.covers as covers
 
-    f = TABLE.get("3_1").tilde  # coprime to t**n - 1 for n = 1, 5
-    # n < deg f starts the chain at (f, t**n - 1); n >= deg f continues the
-    # chain of (t**n - 1, f) after its first step
-    for seam, n in (("resultant", 1), ("_subresultant", 5)):
-        with monkeypatch.context() as patch:
-            patch.setattr(covers, seam, lambda *args: 0)
-            with pytest.raises(ArithmeticError):
-                order_from_tilde(f, n)
+    # 5_1 (Phi_10, d = 2) takes the trace route: n < d starts the chain at
+    # (D, 2 - V_n), n >= d continues the chain of (2 - V_n, D) after its
+    # first step.  2t**2 + t + 1 is not palindromic and takes the t**n
+    # route: n < 2 starts at (f, t**n - 1), n >= 2 continues (t**n - 1, f).
+    # Both are coprime to t**n - 1 at these n.
+    for f in (TABLE.get("5_1").tilde, IntPoly([1, 1, 2])):
+        for seam, n in (("resultant", 1), ("_subresultant", 3)):
+            with monkeypatch.context() as patch:
+                patch.setattr(covers, seam, lambda *args: 0)
+                with pytest.raises(ArithmeticError):
+                    order_from_tilde(f, n)
+            assert order_from_tilde(f, n).order > 0, (f.coeffs, seam, n)
 
 
 def test_cover_order_validation():
@@ -213,6 +221,176 @@ def test_orders_never_build_t_power_minus_one(monkeypatch):
     covers._cached_order.cache_clear()
     got = {(knot.name, n): fox_order(knot, n).order for knot in TABLE for n in range(1, 61)}
     assert got == expected
+
+
+# ------------------------------------------------ the trace route: degree d
+
+
+def _palindromic_cases(rng):
+    """Seeded palindromic polynomials of even degree 2d, which take the trace
+    route: one for each leading coefficient and d = 1..7, and products of
+    those with Phi_3..Phi_12 and Phi_2**2, whose orders are infinite at the
+    multiples of m."""
+    base = []
+    for lc in (1, -1, 2, -2, 3, -4):
+        for d in range(1, 8):
+            half = [lc] + [rng.randint(-5, 5) for _ in range(d - 1)]
+            base.append(IntPoly(half + [rng.randint(-7, 7)] + half[::-1]))
+    phis = [cyclotomic(m) for m in range(3, 13)] + [cyclotomic(2) * cyclotomic(2)]
+    return base, [phi * rng.choice(base) for phi in phis]
+
+
+def power_route_order(f, n):
+    # the t**n route at the full degree 2d, as order_from_tilde took it for
+    # every polynomial before the trace route
+    R, k = _t_power_mod(f, n)
+    a, m = abs(f.lc), f.degree
+    g = IntPoly(R) - IntPoly((a**k,))
+    if n < m:
+        return abs(resultant(f, g))
+    b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
+    return abs(_subresultant(b, [a ** (n - m + 1 - k) * c for c in g.coeffs], a, a ** (n - m)))
+
+
+@functools.lru_cache(maxsize=None)
+def dickson(n):
+    # V_n by its recurrence, V_n(t + 1/t) = t**n + t**-n
+    if n < 2:
+        return IntPoly([2 - 2 * n, n])
+    return IntPoly([0, 1]) * dickson(n - 1) - dickson(n - 2)
+
+
+@pytest.fixture
+def trace_route_only(monkeypatch):
+    import covercalc.covers as covers
+
+    def refuse(f, n):
+        raise AssertionError(f"{f.coeffs} took the t**n route")
+
+    monkeypatch.setattr(covers, "_t_power_mod", refuse)
+
+
+def test_trace_poly_satisfies_its_definition():
+    # t**d D(t + 1/t) = sum of D_i (t**2 + 1)**i t**(d-i) gives f back
+    base, products = _palindromic_cases(random.Random(920))
+    for f in base + products:
+        D, d = _trace_poly(f), f.degree // 2
+        back = IntPoly()
+        for i, c in enumerate(D.coeffs):
+            term = IntPoly([0] * (d - i) + [c])
+            for _ in range(i):
+                term = term * IntPoly([1, 0, 1])
+            back = back + term
+        assert back == f and D.degree == d and D.lc == f.lc, f.coeffs
+
+
+def test_trace_route_matches_prs_on_the_whole_t_power_minus_one(trace_route_only):
+    base, products = _palindromic_cases(random.Random(921))
+    infinite = finite = 0
+    for f, top in [(f, 24) for f in base] + [(f, 120) for f in products]:
+        for n in range(1, top + 1):  # n < d and n = d included
+            order = order_from_tilde(f, n).order
+            assert order == prs_order(f, n), (f.coeffs, n)
+            infinite += order == 0
+            finite += order != 0
+    assert infinite > 100 and finite > 1000
+    for f in base[8::20] + products[1::10]:
+        for n in (997, 2048, 4999):
+            assert order_from_tilde(f, n).order == prs_order(f, n), (f.coeffs, n)
+
+
+def test_trace_route_matches_sylvester(trace_route_only):
+    # against the Sylvester/Bareiss determinant, of t**n - 1 with f and of
+    # D with 2 - V_n: the identity the route rests on
+    base, products = _palindromic_cases(random.Random(922))
+    for f in base + products:
+        D = _trace_poly(f)
+        for n in range(1, 11):
+            oracle = abs(resultant_sylvester(IntPoly.t_power_minus_one(n), f))
+            assert abs(resultant_sylvester(D, IntPoly([2]) - dickson(n))) == oracle, (f.coeffs, n)
+            assert order_from_tilde(f, n).order == oracle, (f.coeffs, n)
+
+
+def test_lucas_mod_keeps_the_power_of_the_leading_coefficient_minimal():
+    # R / a**k = V_n mod D in lowest terms: no power of a = |lc(D)| is left
+    # to divide out, and n < d gives V_n itself
+    base, products = _palindromic_cases(random.Random(923))
+    for f in base + products:
+        D = _trace_poly(f)
+        a, d = abs(D.lc), D.degree
+        for n in range(1, 121):
+            R, k = _lucas_mod(D, n)
+            assert len(R) <= d, (f.coeffs, n)
+            assert k == 0 or (a > 1 and math.gcd(*R) % a != 0), (f.coeffs, n, k)
+            if n < d:
+                assert (IntPoly(R), k) == (dickson(n), 0), (f.coeffs, n)
+
+
+def test_trace_chain_seed_is_the_first_pseudo_remainder():
+    # the state order_from_tilde enters the chain of (2 - V_n, b) at:
+    # a**(n-d+1-k) (2 a**k - R) is exactly prem(2 - V_n, b) for b = +-D
+    base, products = _palindromic_cases(random.Random(924))
+    for f in base[::2] + products:
+        D = _trace_poly(f)
+        b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
+        a, d = b[-1], len(b) - 1
+        for n in range(d, 121):
+            R, k = _lucas_mod(D, n)
+            g = IntPoly((2 * a**k,)) - IntPoly(R)
+            seed = [a ** (n - d + 1 - k) * c for c in g.coeffs]
+            assert seed == _prem((IntPoly([2]) - dickson(n)).coeffs, b), (f.coeffs, n)
+
+
+def test_trace_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypatch):
+    # the trace route's analogue of the width test above: every
+    # pseudo-remainder of the ladder and of the chain stays within 3x the
+    # bits of the order, plus a little
+    import covercalc.polynomials as polynomials
+
+    prem, widest = polynomials._prem, [0]
+
+    def recording_prem(a, b):
+        r = prem(a, b)
+        widest[0] = max(widest[0], *(abs(c).bit_length() for c in (*a, *b, *r)))
+        return r
+
+    monkeypatch.setattr(polynomials, "_prem", recording_prem)
+    rng, finite = random.Random(925), 0
+    for lc in (2, -4, 3):
+        for d in (3, 4):
+            half = [lc] + [rng.randint(-6, 6) for _ in range(d - 1)]
+            f = IntPoly(half + [rng.randint(-6, 6)] + half[::-1])
+            for n in (400, 2000):
+                widest[0] = 0
+                order = order_from_tilde(f, n).order
+                if order == 0:  # a cyclotomic factor; the chain stops early
+                    continue
+                finite += 1
+                bits = order.bit_length()
+                assert widest[0] <= 3 * bits + 64, (f.coeffs, n, widest[0], bits)
+    assert finite >= 8
+
+
+def test_trace_route_matches_the_power_route_on_every_bundled_knot(trace_route_only):
+    for knot in TABLE:
+        f = knot.tilde
+        for n in range(1, 401):
+            assert order_from_tilde(f, n).order == power_route_order(f, n), (knot.name, n)
+
+
+def test_trace_route_at_huge_n(trace_route_only):
+    # 3_1 and 5_1 have Phi_6 and Phi_10, so their orders repeat with period
+    # 6 and 10; 4_1's order at n = 10**18 would have ~7e17 bits, so the
+    # route can only be asked for it at small n (test_figure_eight_orders)
+    rows = {"3_1": [1, 3, 4, 3, 1, 0], "5_1": [1, 5, 1, 5, 16, 5, 1, 5, 1, 0]}
+    start = time.perf_counter()
+    for name, row in rows.items():
+        f = TABLE.get(name).tilde
+        assert [prs_order(f, n) for n in range(1, len(row) + 1)] == row
+        for k in range(12):
+            n = 10**18 + k
+            assert order_from_tilde(f, n).order == row[(n - 1) % len(row)], (name, k)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------- homology spheres

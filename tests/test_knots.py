@@ -12,6 +12,7 @@ from covercalc.knots import (
     alexander_mul,
     bundled_table,
     load_table,
+    load_table_file,
     tilde,
 )
 from covercalc.polynomials import IntPoly
@@ -250,3 +251,17 @@ def test_bundled_table_self_consistent():
         assert tilde(knot.alexander)(1) == 1
         if knot.fibered:
             assert knot.genus == knot.alexander.half_degree
+
+
+def test_load_table_file_names_the_file_as_pathlib_spells_it(tmp_path):
+    # without pathlib, the file is still opened under pathlib's spelling of
+    # its name: the error text keeps it, and a trailing slash is dropped
+    doc = tmp_path / "t.json"
+    doc.write_text(json.dumps([{"name": "3_1", "alexander": [1, -1, 1], "genus": 1, "fibered": True}]))
+    assert [k.name for k in load_table_file(f"{doc}/")] == ["3_1"]
+    assert [k.name for k in load_table_file(doc)] == ["3_1"]
+    for spelled, opened in ((f"{tmp_path}/.//no.json", f"{tmp_path}/no.json"), ("", ".")):
+        with pytest.raises(KnotTableError) as err:
+            load_table_file(spelled)
+        assert str(err.value).startswith(f"cannot read table {spelled}: [Errno ")
+        assert str(err.value).endswith(f": {opened!r}")
