@@ -229,7 +229,9 @@ def _aligned(rows: list[list[str]]) -> list[str]:
 
 
 def _fmt_float(x: float) -> str:
-    return f"{x:.6f}"
+    # digits past the 17 significant ones of a float are noise: exponent form
+    s = f"{x:.6f}"
+    return f"{x:.6e}" if len(s.lstrip("-")) > 18 else s
 
 
 def _opt(x) -> str:

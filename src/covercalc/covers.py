@@ -1,12 +1,14 @@
 """Homology of branched cyclic covers and the prime obstruction set.
 
-The order of H1 of the n-fold branched cyclic cover is the absolute value of
-the integer resultant of t**n - 1 with the degree-2d polynomial attached to
-the knot; order 0 encodes an infinite group.  That polynomial is
-palindromic, so its roots pair as alpha, 1/alpha, and the order is the
-resultant of 2 - V_n with its degree-d trace polynomial D (the proof is in
-``order_from_tilde``): V_n is reduced mod D by the Lucas ladder in Z[x],
-and one subresultant chain of degree d is left; t**n - 1 is never built.
+The order of H1 of the n-fold branched cyclic cover is |Res(t**n - 1, f)|
+for the degree-2d polynomial f of the knot; order 0 encodes an infinite
+group.  f is palindromic, so the order comes from its degree-d trace
+polynomial D, and half of it is a square: with m = n // 2, 2 - V_(2m+1) =
+-(x - 2) W**2 and 2 - V_2m = -(x**2 - 4) U**2 make it Res(D, A)**2 / |f(1)|
+for odd n and Res(D, A)**2 / |f(1) f(-1)| for even n, an exact division,
+for an A of degree m + 1, and f(1) = 0, or f(-1) = 0 at even n, gives 0 at
+once (proofs in ``order_from_tilde``).  A mod D comes from the Lucas ladder
+in Z[x]; one subresultant chain of degree d is left, and t**n - 1 is never built.
 The orders are memoized in one bounded LRU dict keyed by (polynomial, n),
 which the Z/p-sphere test peeks: H1(cover; Z/p) = H1(cover) (x) Z/p, so the
 cover is a Z/p-homology sphere iff its order is nonzero and prime to p.
@@ -28,6 +30,7 @@ from .knots import Knot
 from .polynomials import (
     IntPoly,
     ModPoly,
+    _divexact,
     _gcd_t_power_minus_one,
     _lucas_mod,
     _subresultant,
@@ -83,18 +86,27 @@ class CoverOrder(_Value):
 def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
     """|Res_Z(t**n - 1, f)| for a nonzero integer polynomial f.
 
-    A knot's f is palindromic of degree 2d: f(t) = t**d D(t + 1/t) with
-    deg D = d and lc D = lc f (``_trace_poly``).  Its roots pair as alpha,
-    1/alpha over the roots beta = alpha + 1/alpha of D, and (alpha**n - 1)
-    (alpha**-n - 1) = 2 - V_n(beta) for V_n(t + 1/t) = t**n + t**-n, so
-    Res(t**n - 1, f) and Res(D, 2 - V_n) are both lc**n prod 2 - V_n(beta).
-    With m = d, A = 2 - V_n, b = +-D and a = lc(b) > 0, the Lucas ladder
-    gives R / a**k = V_n mod b in lowest terms and g = 2 a**k - R.  Any
-    other f keeps m = deg f, A = t**n - 1, b = +-f, R / a**k = t**n mod b
-    and g = R - a**k.  Either way g / a**k = A mod b, so for n >= m the
-    chain of (A, b) is entered after its first step: the pseudo-remainder
-    a**(n-m+1-k) g (integral, R / a**k being in lowest terms), with scalars
-    a and a**(n-m).  For n < m, g = A and the chain starts at (D or f, g).
+    A knot's f is palindromic of degree 2d: f(t) = t**d D(t + 1/t), deg D =
+    d, lc D = lc f (``_trace_poly``), and its roots pair as alpha, 1/alpha
+    over the roots beta of D.  As (alpha**n - 1)(alpha**-n - 1) = 2 - V_n(beta)
+    for V_n(t + 1/t) = t**n + t**-n, the order is |lc**n prod 2 - V_n(beta)|.
+    Half of it is a square (Plans 1953).  With m = n // 2, s = t**(1/2),
+    x - 2 = (s - 1/s)**2 and x**2 - 4 = (t - 1/t)**2: 2 - V_(2m+1) =
+    -(s**(2m+1) - s**-(2m+1))**2 = -(x - 2) W**2 for W = (s**(2m+1) -
+    s**-(2m+1)) / (s - 1/s) = sum of t**j over |j| <= m, and 2 - V_2m =
+    -(t**m - t**-m)**2 = -(x**2 - 4) U**2 for U = (t**m - t**-m) / (t - 1/t).
+    Multiplied out, A = (x - 2) W = V_(m+1) - V_m (odd n) or A = (x**2 - 4) U
+    = V_(m+1) - V_(m-1) (even n), monic of degree N = m + 1, so Res(D, A)**2
+    = lc**(2N) prod (beta - 2)**2 W(beta)**2 is the order times |D(2)| =
+    |f(1)|, or times |D(2) D(-2)| = |f(1) f(-1)| for even n: an exact
+    division, checked.  If that is 0, f shares the root 1 or -1 with
+    t**n - 1, and the order is 0 at once.  ``_lucas_mod`` gives g / a**k =
+    A mod b in lowest terms for b = +-D, a = lc(b) > 0.  Any other f keeps
+    N = n, A = t**n - 1, b = +-f and g = R - a**k for R / a**k = t**n mod b,
+    and the order is |Res(A, b)|.  For N >= deg b the chain of (A, b) is
+    entered after its first step: the pseudo-remainder a**(N-deg b+1-k) g
+    (integral, g / a**k being in lowest terms), with scalars a and
+    a**(N-deg b); for N < deg b, g = A and the chain starts at (b, g).
     A zero resultant must come from a shared factor of b and g = a**k A mod b.
     """
     if n < 1:
@@ -103,23 +115,25 @@ def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
         return CoverOrder(n=n, order=abs(f(0)) ** n)
     if f.degree % 2 == 0 and f.coeffs == f.coeffs[::-1]:
         f = _trace_poly(f)
+        e, den = 2, abs(f(2) if n % 2 else f(2) * f(-2))
+        if den == 0:
+            return CoverOrder(n=n, order=0)
         R, k = _lucas_mod(f, n)
-        g = IntPoly((2 * abs(f.lc) ** k,)) - IntPoly(R)
+        g, N = IntPoly(R), n // 2 + 1
     else:
         R, k = _t_power_mod(f, n)
-        g = IntPoly(R) - IntPoly((abs(f.lc) ** k,))
+        e, den, g, N = 1, 1, IntPoly(R) - IntPoly((abs(f.lc) ** k,)), n
     a, m = abs(f.lc), f.degree
-    if n < m:
+    if N < m:
         res = resultant(f, g)
     else:
         b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
-        B = [a ** (n - m + 1 - k) * c for c in g.coeffs]
-        res = _subresultant(b, B, a, a ** (n - m))
+        res = _subresultant(b, [a ** (N - m + 1 - k) * c for c in g.coeffs], a, a ** (N - m))
     if res == 0:
         if int_poly_gcd(f, g).degree < 1:
             raise ArithmeticError("zero resultant without a common factor")
         return CoverOrder(n=n, order=0)
-    return CoverOrder(n=n, order=abs(res))
+    return CoverOrder(n=n, order=_divexact(abs(res) ** e, den))
 
 
 # LRU: a hit moves to the back; each step is one atomic call, so threads at worst recompute

@@ -10,14 +10,15 @@ The two resultant routines are deliberately independent of each other:
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
 The cover orders run one subresultant chain (``_subresultant``), entered
-at (D, g) or after the first step of (2 - V_n, D), for the trace
-polynomial D of a palindromic f of degree 2d (f(t) = t**d D(t + 1/t),
-``_trace_poly``) and the Dickson polynomial V_n(t + 1/t) = t**n + t**-n:
-V_n is first reduced mod D by the Lucas ladder in Z[x] (``_lucas_mod``),
-so the ladder and the chain have degree d.  Any other f takes the chain of
-(t**n - 1, f), with t**n reduced mod f by square-and-multiply in Z[t]
-(``_t_power_mod``, the integer counterpart of the F_p route below).  Both
-routes put every pseudo-reduced product in lowest terms with ``_reduce``.
+at (D, A) or after the first step of (A, D), for the trace polynomial D of
+a palindromic f of degree 2d (f(t) = t**d D(t + 1/t), ``_trace_poly``) and
+A = V_(m+1) - V_m or V_(m+1) - V_(m-1), m = n // 2, for the Dickson
+polynomials V_k(t + 1/t) = t**k + t**-k: the Lucas ladder in Z[x] reduces
+A mod D (``_lucas_mod``), so the ladder and the chain have degree d.  Any
+other f takes the chain of (t**n - 1, f), with t**n mod f by
+square-and-multiply in Z[t] (``_t_power_mod``, the integer counterpart of
+the F_p route below).  Both routes pseudo-reduce each product by one table
+of rows per modulus and put it in lowest terms (``_reduce``).
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
 2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
@@ -191,14 +192,37 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return r
 
 
-def _reduce(r: list[int], k: int, b: Sequence[int]) -> tuple[list[int], int]:
-    # (R, j) with R / a**j = (r / a**k) mod b over Q in lowest terms and
-    # deg R < deg b, where a = lc(b) > 0: _prem scales r by a power of a,
-    # which is added to k, and the powers of a common to every coefficient
-    # are divided back out, at most k of them; a = 1 gives j = 0
-    m, a = len(b) - 1, b[-1]
-    k += max(len(r) - m, 0)
-    r = _prem(r, b)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _rows(b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # row j = a**(j+1) x**(d+j) mod b, j <= d = deg b, a = lc(b): row 0 is
+    # a x**d - b, row j + 1 is a x row_j with its x**d term c taken as c row_0
+    rows = [[-c for c in b[:-1]]]
+    for _ in b[1:]:
+        rows.append([b[-1] * x + rows[-1][-1] * y for x, y in zip([0] + rows[-1][:-1], rows[0])])
+    return tuple(map(tuple, rows))
+
+
+def _reduce(r: list[int], k: int, b: tuple[int, ...]) -> tuple[list[int], int]:
+    # (R, j) with R / a**j = (r / a**k) mod b over Q in lowest terms, R stripped,
+    # deg R < deg b, for a = lc(b) and deg r <= 2 deg b; r is consumed.  One pass
+    # over _rows(b) gives a**e r mod b, e = deg r - deg b + 1: a**e r_i plus
+    # a**(e-1-j) r_(d+j) row_j[i] for j < e; e is added to k, and the powers
+    # of a common to every coefficient are divided back out, at most k of them
+    d, a = len(b) - 1, b[-1]
+    if len(r) > d:
+        k += len(r) - d
+        p = a ** (len(r) - d)
+        out = r[:d] if p == 1 else [p * x for x in r[:d]]
+        for c, row in zip(r[d:], _rows(b)):
+            if a != 1:
+                p //= a
+                c *= p
+            if c:
+                for i, y in enumerate(row):
+                    out[i] += c * y
+        r = out
+    while r and r[-1] == 0:
+        r.pop()
     if a == 1:
         return r, 0
     c, j = math.gcd(*r), 0
@@ -206,8 +230,8 @@ def _reduce(r: list[int], k: int, b: Sequence[int]) -> tuple[list[int], int]:
         c //= a
         j += 1
     if j:
-        d = a**j
-        r = [x // d for x in r]
+        q = a**j
+        r = [x // q for x in r]
     return r, k - j
 
 
@@ -262,13 +286,17 @@ def _trace_poly(f: IntPoly) -> IntPoly:
 
 
 def _lucas_mod(D: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
-    """(R, k) with R / a**k = V_n mod D over Q and deg R < deg D, where
-    a = |lc(D)|, deg D >= 1 and n >= 1; R is a coefficient tuple.
+    """(R, k) with R / a**k = A_n mod D over Q in lowest terms, R stripped and
+    deg R < deg D, for a = |lc(D)|, deg D >= 1, n >= 1 and m = n // 2, where
+    A_n = V_(m+1) - V_m (odd n) or 2 V_(m+1) - x V_m = V_(m+1) - V_(m-1)
+    (even n) is monic of degree m + 1; R = A_n when m + 1 < deg D.
 
-    The Lucas ladder: (V_j, V_(j+1)) mod D follows the leading bits j of
-    n // 2 by V_2j = V_j**2 - 2 and V_(2j+1) = V_j V_(j+1) - x, and each
-    product is put in lowest terms by ``_reduce`` as in ``_t_power_mod``:
-    O(log n) products of polynomials of degree below deg D.
+    The Lucas ladder takes (V_j, V_(j+1)) mod D along the leading bits j of
+    n // 4 by V_2j = V_j**2 - 2 and V_(2j+1) = V_j V_(j+1) - x, and the same
+    rules give A_4j = V_j A_2j, A_(4j+1) = V_j A_(2j+1) - A_1, A_(4j+2) =
+    V_(j+1) A_2j + A_2 and A_(4j+3) = V_(j+1) A_(2j+1) + A_1 (A_1 = x - 2,
+    A_2 = x**2 - 4): O(log n) products of degree below deg D, each put in
+    lowest terms by ``_reduce``.
     """
     b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
     a = b[-1]
@@ -284,9 +312,18 @@ def _lucas_mod(D: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
         return _reduce(p, kr + ks, b)
 
     u, w = ([2], 0), ([0, 1], 0)  # V_0 and V_1
-    for bit in bin(n >> 1)[2:]:
+    for bit in bin(n >> 2)[2:]:
         u, w = (add(*u, *w), double(*w)) if bit == "1" else (double(*u), add(*u, *w))
-    r, k = double(*u) if n % 2 == 0 else add(*u, *w)
+    (r, kr), (s, ks) = u, w  # V_j and V_(j+1), j = n // 4
+    k = max(kr, ks)
+    r, s = [a ** (k - kr) * c for c in r], [(2 - n % 2) * a ** (k - ks) * c for c in s]
+    # A_(2j+1) = V_(j+1) - V_j for odd n, A_2j = 2 V_(j+1) - x V_j for even n
+    q = [x - y for x, y in zip_longest(s, r if n % 2 else [0] + r, fillvalue=0)]
+    p, kp = w if n & 2 else u
+    q = _mul(p, q) + [0] * (4 - len(p) - len(q))  # plus 0, -A_1, A_2 or A_1
+    c = ((0, 0, 0), (2, -1, 0), (-4, 0, 1), (-2, 1, 0))[n % 4]
+    q[:3] = [x + y * a ** (k + kp) for x, y in zip(q, c)]
+    r, k = _reduce(q, k + kp, b)
     return tuple(r), k
 
 
@@ -315,9 +352,10 @@ def _subresultant(a: Sequence[int], b: Sequence[int], gg: int, h: int) -> int:
     """+-Res(A, B) by the subresultant PRS of (A, B), continued from a
     state of its chain: the last two members a, b (deg a > deg b, or
     deg a >= deg b at the start), gg = lc(a) and the running power h, which
-    are 1 and 1 at the start; 0 if a remainder vanishes.  Each remainder is
-    divided exactly by gg * h**delta (Collins 1967; Brown-Traub 1971), so
-    the members are subresultants of (A, B): no power of lc builds up.
+    are 1 and 1 at the start; 0 if a remainder vanishes.  a and b must be
+    stripped: a zero top coefficient would be read as the degree.  Each
+    remainder is divided exactly by gg * h**delta (Collins 1967; Brown-Traub
+    1971): the members are subresultants of (A, B), no power of lc builds up.
     """
     s = 1
     da, db = len(a) - 1, len(b) - 1

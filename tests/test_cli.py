@@ -272,6 +272,25 @@ def test_bounds_samples_beyond_float_range(tmp_path, capsys):
     assert capsys.readouterr().err == "error: every sample's count**(1/n) is beyond float range\n"
 
 
+# :.6f of a value of 1e11 or more has more than the 17 significant digits a
+# float holds, so such a value prints as :.6e; smaller values keep :.6f
+@pytest.mark.parametrize(
+    "n, count, shown",
+    [(2, 10**400, "1.000000e+200"), (1, 10**11, "1.000000e+11"), (1, 10**11 - 1, "99999999999.000000")],
+)
+def test_bounds_estimate_past_float_precision_prints_in_exponent_form(tmp_path, n, count, shown):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps([{"n": n, "count": count}]))
+    code, out = capture(["bounds", "3_1", "--samples", str(samples)])
+    assert code == 0 and f"dilatation upper estimate: {shown}" in out.splitlines(), out
+
+
+def test_bounds_gromov_ceiling_past_float_precision_prints_in_exponent_form():
+    for genus, shown in (("1000000000", "2.805200e+11"), ("100000000", "28052004800.227169")):
+        code, out = capture(["bounds", "3_1", "--genus", genus, "--delta", "10"])
+        assert code == 0 and f"predecessor <= {shown}" in out.splitlines()[1], out
+
+
 def test_bounds_samples_ignore_extra_keys(tmp_path):
     samples = tmp_path / "s.json"
     samples.write_text(json.dumps([{"n": 2, "count": 9, "note": "x"}]))

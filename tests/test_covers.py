@@ -22,6 +22,7 @@ from covercalc.polynomials import (
     ModPoly,
     _lucas_mod,
     _prem,
+    _reduce,
     _subresultant,
     _t_power_mod,
     _trace_poly,
@@ -79,10 +80,11 @@ def test_infinite_order_comes_from_cyclotomic_factor():
 def test_zero_resultant_without_common_factor_raises(monkeypatch):
     import covercalc.covers as covers
 
-    # 5_1 (Phi_10, d = 2) takes the trace route: n < d starts the chain at
-    # (D, 2 - V_n), n >= d continues the chain of (2 - V_n, D) after its
-    # first step.  2t**2 + t + 1 is not palindromic and takes the t**n
-    # route: n < 2 starts at (f, t**n - 1), n >= 2 continues (t**n - 1, f).
+    # 5_1 (Phi_10, d = 2) takes the trace route, where A has degree
+    # N = n // 2 + 1: N < d starts the chain at (D, A), N >= d continues
+    # the chain of (A, D) after its first step.  2t**2 + t + 1 is not
+    # palindromic and takes the t**n route: n < 2 starts at
+    # (f, t**n - 1), n >= 2 continues (t**n - 1, f).
     # Both are coprime to t**n - 1 at these n.
     for f in (TABLE.get("5_1").tilde, IntPoly([1, 1, 2])):
         for seam, n in (("resultant", 1), ("_subresultant", 3)):
@@ -103,6 +105,7 @@ def test_cover_order_validation():
 # ------------------------------------------- orders without t**n - 1
 
 
+@functools.lru_cache(maxsize=None)
 def prs_order(f, n):
     # the slow path: the subresultant PRS on the whole t**n - 1
     return abs(resultant(IntPoly.t_power_minus_one(n), f))
@@ -177,14 +180,24 @@ def test_order_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypa
     # that by 1000 to 68000 bits on these polynomials.
     import covercalc.polynomials as polynomials
 
-    prem, widest = polynomials._prem, [0]
+    prem, reduce, widest = polynomials._prem, polynomials._reduce, [0]
+
+    def record(*polys):
+        widest[0] = max([widest[0], *(abs(c).bit_length() for p in polys for c in p)])
 
     def recording_prem(a, b):
         r = prem(a, b)
-        widest[0] = max(widest[0], *(abs(c).bit_length() for c in (*a, *b, *r)))
+        record(a, b, r)
         return r
 
+    def recording_reduce(r, k, b):  # the powering's pseudo-remainders
+        record(r, b)
+        out = reduce(r, k, b)
+        record(out[0])
+        return out
+
     monkeypatch.setattr(polynomials, "_prem", recording_prem)
+    monkeypatch.setattr(polynomials, "_reduce", recording_reduce)
     rng = random.Random(913)
     for lc in (2, -4, 3):
         for m in (6, 8):
@@ -311,34 +324,40 @@ def test_trace_route_matches_sylvester(trace_route_only):
             assert order_from_tilde(f, n).order == oracle, (f.coeffs, n)
 
 
+def half_a(n):
+    # the A of the trace route at n: V_(m+1) - V_m for odd n and
+    # V_(m+1) - V_(m-1) for even n, m = n // 2, monic of degree m + 1
+    m = n // 2
+    return dickson(m + 1) - dickson(m - 1 + n % 2)
+
+
 def test_lucas_mod_keeps_the_power_of_the_leading_coefficient_minimal():
-    # R / a**k = V_n mod D in lowest terms: no power of a = |lc(D)| is left
-    # to divide out, and n < d gives V_n itself
+    # R / a**k = A mod D in lowest terms: no power of a = |lc(D)| is left
+    # to divide out, R is stripped, and m + 1 < d gives A itself
     base, products = _palindromic_cases(random.Random(923))
     for f in base + products:
         D = _trace_poly(f)
         a, d = abs(D.lc), D.degree
         for n in range(1, 121):
             R, k = _lucas_mod(D, n)
-            assert len(R) <= d, (f.coeffs, n)
+            assert len(R) <= d and R[-1:] != (0,), (f.coeffs, n)
             assert k == 0 or (a > 1 and math.gcd(*R) % a != 0), (f.coeffs, n, k)
-            if n < d:
-                assert (IntPoly(R), k) == (dickson(n), 0), (f.coeffs, n)
+            if n // 2 + 1 < d:
+                assert (IntPoly(R), k) == (half_a(n), 0), (f.coeffs, n)
 
 
 def test_trace_chain_seed_is_the_first_pseudo_remainder():
-    # the state order_from_tilde enters the chain of (2 - V_n, b) at:
-    # a**(n-d+1-k) (2 a**k - R) is exactly prem(2 - V_n, b) for b = +-D
+    # the state order_from_tilde enters the chain of (A, b) at, N = m + 1:
+    # a**(N-d+1-k) R is exactly prem(A, b) for b = +-D
     base, products = _palindromic_cases(random.Random(924))
     for f in base[::2] + products:
         D = _trace_poly(f)
         b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
         a, d = b[-1], len(b) - 1
-        for n in range(d, 121):
+        for n in range(max(2 * d - 2, 1), 121):  # N >= d
             R, k = _lucas_mod(D, n)
-            g = IntPoly((2 * a**k,)) - IntPoly(R)
-            seed = [a ** (n - d + 1 - k) * c for c in g.coeffs]
-            assert seed == _prem((IntPoly([2]) - dickson(n)).coeffs, b), (f.coeffs, n)
+            seed = [a ** (n // 2 + 2 - d - k) * c for c in R]
+            assert seed == _prem(half_a(n).coeffs, b), (f.coeffs, n)
 
 
 def test_trace_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypatch):
@@ -347,14 +366,24 @@ def test_trace_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypa
     # bits of the order, plus a little
     import covercalc.polynomials as polynomials
 
-    prem, widest = polynomials._prem, [0]
+    prem, reduce, widest = polynomials._prem, polynomials._reduce, [0]
+
+    def record(*polys):
+        widest[0] = max([widest[0], *(abs(c).bit_length() for p in polys for c in p)])
 
     def recording_prem(a, b):
         r = prem(a, b)
-        widest[0] = max(widest[0], *(abs(c).bit_length() for c in (*a, *b, *r)))
+        record(a, b, r)
         return r
 
+    def recording_reduce(r, k, b):  # the powering's pseudo-remainders
+        record(r, b)
+        out = reduce(r, k, b)
+        record(out[0])
+        return out
+
     monkeypatch.setattr(polynomials, "_prem", recording_prem)
+    monkeypatch.setattr(polynomials, "_reduce", recording_reduce)
     rng, finite = random.Random(925), 0
     for lc in (2, -4, 3):
         for d in (3, 4):
@@ -391,6 +420,86 @@ def test_trace_route_at_huge_n(trace_route_only):
             n = 10**18 + k
             assert order_from_tilde(f, n).order == row[(n - 1) % len(row)], (name, k)
     assert time.perf_counter() - start < 1.0
+
+
+def plans_cofactor(f, n):
+    # Plans (1953): an order is |f(1)| s**2 for odd n, |f(1) f(-1)| s**2 for even n
+    return abs(f(1) if n % 2 else f(1) * f(-1))
+
+
+def test_orders_have_plans_structure(trace_route_only):
+    # the palindromic cases and large n of the trace-route PRS test above
+    base, products = _palindromic_cases(random.Random(921))
+    big = [knot.tilde for knot in TABLE] + base[8::20] + products[1::10]
+    squares = 0
+    for f in [knot.tilde for knot in TABLE] + base + products:
+        for n in [*range(1, 121), *((997, 2048, 4999) if f in big else ())]:
+            order, c = prs_order(f, n), plans_cofactor(f, n)
+            assert order_from_tilde(f, n).order == order, (f.coeffs, n)
+            if order:
+                s = math.isqrt(order // c)
+                assert s * s * c == order, (f.coeffs, n)
+                squares += s > 1
+    assert squares > 3000
+
+
+def test_a_root_at_one_or_minus_one_gives_order_zero_at_once(monkeypatch):
+    # f = Phi_1**2 g or Phi_2**2 g, palindromic: t**n - 1 shares t = 1 for
+    # every n and t = -1 for even n, so the trace route stops before the
+    # ladder; the odd orders of Phi_2**2 g still match the PRS
+    import covercalc.covers as covers
+
+    def refuse(D, n):
+        raise AssertionError(f"ladder run at n = {n}")
+
+    base, _ = _palindromic_cases(random.Random(926))
+    for g in base[::3]:
+        for phi, zero in ((cyclotomic(1), range(1, 41)), (cyclotomic(2), range(2, 41, 2))):
+            f = phi * phi * g
+            with monkeypatch.context() as patch:
+                patch.setattr(covers, "_lucas_mod", refuse)
+                assert all(order_from_tilde(f, n).order == 0 for n in zero), f.coeffs
+        f = cyclotomic(2) * cyclotomic(2) * g
+        for n in range(1, 41, 2):
+            assert order_from_tilde(f, n).order == prs_order(f, n), (f.coeffs, n)
+
+
+def test_a_mod_d_that_loses_its_top_coefficient():
+    # at n = 15, V_8 - V_7 mod D has degree 4 < d - 1 = 5; fed unstripped,
+    # the chain reads degree 5 with a zero leading coefficient and returns 0,
+    # which the zero guard rejects, as D and A share no factor
+    f = IntPoly((-1, 0, 5, 4, 5, 2, 2, 2, 5, 4, 5, 0, -1))
+    D = _trace_poly(f)
+    b = tuple(-c for c in D.coeffs)
+    assert b[-1] == 1 and D.degree == 6
+    r = list(half_a(15).coeffs)
+    while len(r) > 6:  # plain remainder, b monic, leading zeros kept
+        top = r.pop()
+        for i in range(6):
+            r[len(r) - 6 + i] -= top * b[i]
+    assert len(r) == 6 and r[-1] == 0
+    assert _subresultant(b, r, 1, 1) == 0
+    R, k = _lucas_mod(D, 15)
+    assert (list(R), k) == (r[:-1], 0)
+    assert _subresultant(b, list(R), 1, 1) != 0
+    assert order_from_tilde(f, 15).order == prs_order(f, 15) > 0
+
+
+def test_row_table_pseudo_remainder_equals_prem():
+    # _reduce pseudo-reduces by the row table: the remainder it returns,
+    # times the powers of lc(b) it divided out, is _prem's list
+    rng = random.Random(927)
+    for lc in (1, -1, 2, 3, -4):
+        for d in range(1, 9):
+            for _ in range(5):
+                b = tuple(rng.randint(-9, 9) for _ in range(d)) + (lc,)
+                for size in range(2 * d + 2):
+                    r = [rng.randint(-99, 99) for _ in range(size)]
+                    if r and not r[-1]:
+                        r[-1] = 1
+                    R, k = _reduce(list(r), 0, b)
+                    e = max(size - d, 0)
+                    assert [lc ** (e - k) * c for c in R] == _prem(r, b), (r, b)
 
 
 # ------------------------------------------------------- homology spheres
