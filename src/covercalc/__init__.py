@@ -52,7 +52,6 @@ from .polynomials import (
     DegreeMultiset,
     IntPoly,
     ModPoly,
-    gcd_fp,
     irreducible_factor_degrees,
     resultant,
     resultant_sylvester,

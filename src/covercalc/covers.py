@@ -9,6 +9,9 @@ for odd n and Res(D, A)**2 / |f(1) f(-1)| for even n, an exact division,
 for an A of degree m + 1, and f(1) = 0, or f(-1) = 0 at even n, gives 0 at
 once (proofs in ``order_from_tilde``).  A mod D comes from the Lucas ladder
 in Z[x]; one subresultant chain of degree d is left, and t**n - 1 is never built.
+Any other f of degree d, its factors t stripped, takes the route through
+f(t) t**d f(1/t), whose order is the square of f's: |Res(D, A)| / |f(1)|,
+or / |f(1) f(-1)|.
 The orders are memoized in one bounded LRU dict keyed by (polynomial, n),
 which the Z/p-sphere test peeks: H1(cover; Z/p) = H1(cover) (x) Z/p, so the
 cover is a Z/p-homology sphere iff its order is nonzero and prime to p.
@@ -34,7 +37,6 @@ from .polynomials import (
     _gcd_t_power_minus_one,
     _lucas_mod,
     _subresultant,
-    _t_power_mod,
     _trace_poly,
     int_poly_gcd,
     irreducible_factor_degrees,
@@ -84,12 +86,16 @@ class CoverOrder(_Value):
 
 
 def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
-    """|Res_Z(t**n - 1, f)| for a nonzero integer polynomial f.
+    """|Res_Z(t**n - 1, f)| for any integer polynomial f; the zero f gives 0.
 
-    A knot's f is palindromic of degree 2d: f(t) = t**d D(t + 1/t), deg D =
-    d, lc D = lc f (``_trace_poly``), and its roots pair as alpha, 1/alpha
-    over the roots beta of D.  As (alpha**n - 1)(alpha**-n - 1) = 2 - V_n(beta)
-    for V_n(t + 1/t) = t**n + t**-n, the order is |lc**n prod 2 - V_n(beta)|.
+    One route serves every f.  With den = |f(1)| for odd n and |f(1) f(-1)|
+    for even n, den = 0 means f shares the root 1 or -1 with t**n - 1: order
+    0 at once.  As |Res(t**n - 1, t)| = 1, factors t are stripped when f(0) =
+    0 (a knot's f is passed on as it is), and a constant c gives |c|**n.
+    A palindromic f of degree 2d is f(t) = t**d D(t + 1/t), deg D = d, lc D
+    = lc f (``_trace_poly``), and its roots pair as alpha, 1/alpha over the
+    roots beta of D.  As (alpha**n - 1)(alpha**-n - 1) = 2 - V_n(beta) for
+    V_n(t + 1/t) = t**n + t**-n, the order is |lc**n prod 2 - V_n(beta)|.
     Half of it is a square (Plans 1953).  With m = n // 2, s = t**(1/2),
     x - 2 = (s - 1/s)**2 and x**2 - 4 = (t - 1/t)**2: 2 - V_(2m+1) =
     -(s**(2m+1) - s**-(2m+1))**2 = -(x - 2) W**2 for W = (s**(2m+1) -
@@ -98,39 +104,44 @@ def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
     Multiplied out, A = (x - 2) W = V_(m+1) - V_m (odd n) or A = (x**2 - 4) U
     = V_(m+1) - V_(m-1) (even n), monic of degree N = m + 1, so Res(D, A)**2
     = lc**(2N) prod (beta - 2)**2 W(beta)**2 is the order times |D(2)| =
-    |f(1)|, or times |D(2) D(-2)| = |f(1) f(-1)| for even n: an exact
-    division, checked.  If that is 0, f shares the root 1 or -1 with
-    t**n - 1, and the order is 0 at once.  ``_lucas_mod`` gives g / a**k =
-    A mod b in lowest terms for b = +-D, a = lc(b) > 0.  Any other f keeps
-    N = n, A = t**n - 1, b = +-f and g = R - a**k for R / a**k = t**n mod b,
-    and the order is |Res(A, b)|.  For N >= deg b the chain of (A, b) is
-    entered after its first step: the pseudo-remainder a**(N-deg b+1-k) g
-    (integral, g / a**k being in lowest terms), with scalars a and
-    a**(N-deg b); for N < deg b, g = A and the chain starts at (b, g).
-    A zero resultant must come from a shared factor of b and g = a**k A mod b.
+    |f(1)|, or times |D(2) D(-2)| = |f(1) f(-1)| for even n: den.
+    Any other f of degree d, f(0) != 0, goes through f f*, f* = t**d f(1/t),
+    palindromic of degree 2d: the roots of f* are the 1/alpha, so |Res(t**n
+    - 1, f*)| = |f(0)**n prod (alpha**-n - 1)| = |Res(t**n - 1, f)|, and
+    Res(D, A)**2 for D = ``_trace_poly``(f f*) is the order squared times
+    den**2.  The order is |Res(D, A)|**e / den, e = 2 for a palindromic f and
+    1 otherwise, an exact division, checked.
+    ``_lucas_mod`` gives g / a**k = A mod b in lowest terms for b = +-D, a =
+    lc(b) > 0.  For N >= d the chain of (A, b) is entered after its first
+    step: the pseudo-remainder a**(N-d+1-k) g (integral, g / a**k being in
+    lowest terms), with scalars a and a**(N-d); for N < d, g = A and the
+    chain starts at (D, g).  A zero resultant needs a common factor of D, g.
     """
     if n < 1:
         raise ValueError("cover index must be >= 1")
-    if f.degree < 1:  # Res(t**n - 1, c) = c**n; the zero f shares every factor
-        return CoverOrder(n=n, order=abs(f(0)) ** n)
+    c = f.coeffs
+    even, odd = sum(c[::2]), sum(c[1::2])  # f(1) = even + odd, f(-1) = even - odd
+    den = abs(even + odd if n % 2 else (even + odd) * (even - odd))
+    if den == 0:
+        return CoverOrder(n=n, order=0)
+    if c[0] == 0:
+        f = IntPoly(c[next(i for i, x in enumerate(c) if x) :])
+    if f.degree < 1:
+        return CoverOrder(n=n, order=abs(f.lc) ** n)
     if f.degree % 2 == 0 and f.coeffs == f.coeffs[::-1]:
-        f = _trace_poly(f)
-        e, den = 2, abs(f(2) if n % 2 else f(2) * f(-2))
-        if den == 0:
-            return CoverOrder(n=n, order=0)
-        R, k = _lucas_mod(f, n)
-        g, N = IntPoly(R), n // 2 + 1
+        D, e = _trace_poly(f), 2
     else:
-        R, k = _t_power_mod(f, n)
-        e, den, g, N = 1, 1, IntPoly(R) - IntPoly((abs(f.lc) ** k,)), n
-    a, m = abs(f.lc), f.degree
-    if N < m:
-        res = resultant(f, g)
+        D, e = _trace_poly(f * IntPoly(f.coeffs[::-1])), 1
+    R, k = _lucas_mod(D, n)
+    g, N = IntPoly(R), n // 2 + 1
+    a, d = abs(D.lc), D.degree
+    if N < d:
+        res = resultant(D, g)
     else:
-        b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
-        res = _subresultant(b, [a ** (N - m + 1 - k) * c for c in g.coeffs], a, a ** (N - m))
+        b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
+        res = _subresultant(b, [a ** (N - d + 1 - k) * c for c in g.coeffs], a, a ** (N - d))
     if res == 0:
-        if int_poly_gcd(f, g).degree < 1:
+        if int_poly_gcd(D, g).degree < 1:
             raise ArithmeticError("zero resultant without a common factor")
         return CoverOrder(n=n, order=0)
     return CoverOrder(n=n, order=_divexact(abs(res) ** e, den))

@@ -11,14 +11,13 @@ The two resultant routines are deliberately independent of each other:
 (Bareiss) elimination, and the test suite holds them to exact agreement.
 The cover orders run one subresultant chain (``_subresultant``), entered
 at (D, A) or after the first step of (A, D), for the trace polynomial D of
-a palindromic f of degree 2d (f(t) = t**d D(t + 1/t), ``_trace_poly``) and
-A = V_(m+1) - V_m or V_(m+1) - V_(m-1), m = n // 2, for the Dickson
-polynomials V_k(t + 1/t) = t**k + t**-k: the Lucas ladder in Z[x] reduces
-A mod D (``_lucas_mod``), so the ladder and the chain have degree d.  Any
-other f takes the chain of (t**n - 1, f), with t**n mod f by
-square-and-multiply in Z[t] (``_t_power_mod``, the integer counterpart of
-the F_p route below).  Both routes pseudo-reduce each product by one table
-of rows per modulus and put it in lowest terms (``_reduce``).
+a palindromic polynomial of degree 2d (h(t) = t**d D(t + 1/t),
+``_trace_poly``) and A = V_(m+1) - V_m or V_(m+1) - V_(m-1), m = n // 2,
+for the Dickson polynomials V_k(t + 1/t) = t**k + t**-k: the Lucas ladder
+in Z[x] reduces A mod D (``_lucas_mod``), so the ladder and the chain have
+degree d.  h is the knot's f itself, or f t**d f(1/t) for any other f of
+degree d.  Each product of the ladder is pseudo-reduced by one table of
+rows per modulus and put in lowest terms (``_reduce``).
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
 2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
@@ -36,13 +35,13 @@ residues of a polynomial sit in fixed-width slots of one int, so that a
 product of polynomials is one integer product and one elimination step is a
 few integer operations.  ``ModPoly`` is a value type with no arithmetic: a
 prime and a reduced residue tuple, the argument type and the cache key of
-the mod-p invariants.  ``gcd_fp`` and the gcd with t**n - 1 behind the
-Z/p-homology-sphere test (t**n reduced mod f by square-and-multiply) run on
-the kernel, and so does ``irreducible_factor_degrees``, a distinct-degree
-factorization with no squarefree pass: when the factors of degree d turn up
-as g = gcd(v, t**(p**d) - t), every power of them is divided out of v, so
-the rest of v has only factors of degree above d and the usual stop rule
-(deg v < 2(d + 1) means v is irreducible) still holds.  Coefficient-list
+the mod-p invariants.  The gcd with t**n - 1 behind the Z/p-homology-sphere
+test (t**n reduced mod f by square-and-multiply) runs on the kernel, and so
+does ``irreducible_factor_degrees``, a distinct-degree factorization with
+no squarefree pass: when the factors of degree d turn up as g = gcd(v,
+t**(p**d) - t), every power of them is divided out of v, so the rest of v
+has only factors of degree above d and the usual stop rule (deg v <
+2(d + 1) means v is irreducible) still holds.  Coefficient-list
 arithmetic, Euclid's gcd and the squarefree-part algorithm over F_p are
 their test oracles in ``tests/oracles.py``.
 """
@@ -63,7 +62,6 @@ __all__ = [
     "DegreeMultiset",
     "resultant",
     "resultant_sylvester",
-    "gcd_fp",
     "irreducible_factor_degrees",
     "prime_factors",
     "exact_divide",
@@ -242,29 +240,6 @@ def _mul(r: Sequence[int], s: Sequence[int]) -> list[int]:
             for j, y in enumerate(s):
                 out[i + j] += x * y
     return out
-
-
-def _t_power_mod(f: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
-    """(R, k) with R / a**k = t**n mod f over Q and deg R < deg f, where
-    a = |lc(f)|, f is nonzero and n >= 1; R is a coefficient tuple.
-
-    Left-to-right square-and-multiply in Z[t] (t**n mod f = t**n mod -f,
-    so f is taken with a positive leading coefficient), each square and
-    each product with t put in lowest terms by ``_reduce``, so k and the
-    coefficients stay small: O(log n) products of degree below deg f.
-    """
-    b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
-    # the leading bits e of n with e < 2 deg f only square and shift a
-    # monomial, so the powering starts from t**e itself
-    s = 0
-    while n >> s >= max(2 * len(b) - 2, 2):
-        s += 1
-    r, k = _reduce([0] * (n >> s) + [1], 0, b)
-    for bit in range(s - 1, -1, -1):
-        r, k = _reduce(_mul(r, r), 2 * k, b)
-        if n >> bit & 1:
-            r, k = _reduce([0] + r, k, b)
-    return tuple(r), k
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -606,8 +581,8 @@ class DegreeMultiset(_Value):
 # ------------------------------------------------------ F_p[t] arithmetic
 #
 # The kernel works on plain ints; ``rem`` divides by a monic polynomial
-# unless told the inverse of the leading coefficient, and ``frobenius`` and
-# ``power`` take h already reduced mod v.
+# unless told the inverse of the leading coefficient, and ``power`` takes h
+# already reduced mod v.
 
 
 class _Fp:
@@ -722,12 +697,6 @@ class _Fp:
                 result = self.rem(self._reduce(result * h), v)
         return result
 
-    def frobenius(self, h: int, v: int) -> int:
-        return self.power(h, self.p, v)
-
-    def x_power(self, n: int, v: int) -> int:
-        return self.power(self.rem(self.x, v), n, v)
-
 
 def _packed(f: ModPoly):
     """A kernel for f's field, and f with its power of t divided out,
@@ -735,17 +704,6 @@ def _packed(f: ModPoly):
     coeffs = f.coeffs[next(i for i, c in enumerate(f.coeffs) if c) :]
     field = _Fp(f.p, len(coeffs))
     return field, field.pack(coeffs)
-
-
-def gcd_fp(f: ModPoly, g: ModPoly) -> ModPoly:
-    """Monic gcd in F_p[t]; gcd(0, 0) = 0."""
-    if f.p != g.p:
-        raise ValueError(f"modulus mismatch: {f.p} != {g.p}")
-    if f.is_zero and g.is_zero:
-        return f
-    field = _Fp(f.p, max(len(f.coeffs), len(g.coeffs)))
-    a, b = (field.pack(h.coeffs) if h.coeffs else 0 for h in (f, g))
-    return ModPoly(f.p, field.unpack(field.gcd(a, b)))
 
 
 def _gcd_t_power_minus_one(f: ModPoly, n: int) -> ModPoly:
@@ -756,7 +714,7 @@ def _gcd_t_power_minus_one(f: ModPoly, n: int) -> ModPoly:
     power of t in f is prime to t**n - 1 and is divided out first.
     """
     field, v = _packed(f)
-    r = field.sub(field.x_power(n, v), 1)
+    r = field.sub(field.power(field.rem(field.x, v), n, v), 1)
     return ModPoly(f.p, field.unpack(field.gcd(v, r)))
 
 
@@ -779,7 +737,7 @@ def irreducible_factor_degrees(f: ModPoly) -> DegreeMultiset:
     d = 0
     while field.degree(v) >= 2 * (d + 1):
         d += 1
-        h = field.frobenius(h, v)
+        h = field.power(h, f.p, v)
         g = field.gcd(v, field.sub(h, x))
         if field.degree(g) > 0:
             entries.append((d, field.degree(g) // d))

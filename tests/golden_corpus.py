@@ -4,7 +4,8 @@ Each command line runs in process through ``cli.run`` over the bundled
 table; its digest is the sha256 of the JSON text of [exit code, stdout,
 stderr].  A line of a corpus file is ``<digest>  <command line>``.
 
-    python tests/golden_corpus.py          # print the lines whose output changed
+    python tests/golden_corpus.py          # print the lines whose output changed;
+                                           # exit 1 if there are any
     python tests/golden_corpus.py --write  # rewrite the corpus files
 
 A change that alters CLI output rewrites the corpus and lists the printed
@@ -35,7 +36,51 @@ def cover_commands() -> list[list[str]]:
     return out
 
 
-CORPUS = {"cover": cover_commands}
+def obstruct_commands() -> list[list[str]]:
+    names = [k.name for k in bundled_table()]
+    out = []
+    for j in names:
+        for k in names:
+            for args in ([], ["-p", "7", "-p", "2", "--max-n", "40"]):
+                out += [["obstruct", j, k, *args], ["obstruct", j, k, *args, "--json"]]
+    return out
+
+
+def per_knot_commands() -> list[list[str]]:
+    out = []
+    for name in (k.name for k in bundled_table()):
+        for argv in (["filter", name], ["skp", name, "-p", "5"], ["bounds", name]):
+            out += [argv, [*argv, "--json"]]
+    return out
+
+
+def error_commands() -> list[list[str]]:
+    psi13 = "3317044064679887385961981"  # composite, a strong pseudoprime to every prime base <= 41
+    argvs = [
+        ["cover", "3_1", "--n", "0"],
+        ["cover", "3_1", "--n", "2", "-p", "4"],
+        ["skp", "3_1", "-p", "4"],
+        ["obstruct", "3_1", "4_1", "-p", "4"],
+        ["cover", "3_1", "--n", "2", "-p", psi13],
+        ["skp", "3_1", "-p", psi13],
+        ["obstruct", "3_1", "4_1", "-p", psi13],
+        ["cover", "9_99", "--n", "2"],
+        ["skp", "9_99", "-p", "2"],
+        ["obstruct", "3_1", "9_99"],
+        ["filter", "9_99"],
+        ["bounds", "9_99"],
+        ["obstruct", "3_1", "4_1", "--max-n", "0"],
+        ["bounds", "3_1", "--delta", "1"],
+    ]
+    return [a for argv in argvs for a in (argv, [*argv, "--json"])]
+
+
+CORPUS = {
+    "cover": cover_commands,
+    "obstruct": obstruct_commands,
+    "per_knot": per_knot_commands,
+    "errors": error_commands,
+}
 
 
 def digest(argv: list[str]) -> str:
@@ -68,13 +113,13 @@ def write(name: str) -> None:
 
 
 def main(argv: list[str]) -> int:
-    for name in CORPUS:
-        if "--write" in argv:
+    if "--write" in argv:
+        for name in CORPUS:
             write(name)
-        else:
-            for line in changed(name):
-                print(f"{name}: {line}")
-    return 0
+        return 0
+    lines = [f"{name}: {line}" for name in CORPUS for line in changed(name)]
+    print("\n".join(lines) or "no line changed")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from covercalc.polynomials import (
     _prem,
     _reduce,
     _subresultant,
-    _t_power_mod,
     _trace_poly,
     int_poly_gcd,
     resultant,
@@ -80,12 +79,12 @@ def test_infinite_order_comes_from_cyclotomic_factor():
 def test_zero_resultant_without_common_factor_raises(monkeypatch):
     import covercalc.covers as covers
 
-    # 5_1 (Phi_10, d = 2) takes the trace route, where A has degree
-    # N = n // 2 + 1: N < d starts the chain at (D, A), N >= d continues
-    # the chain of (A, D) after its first step.  2t**2 + t + 1 is not
-    # palindromic and takes the t**n route: n < 2 starts at
-    # (f, t**n - 1), n >= 2 continues (t**n - 1, f).
-    # Both are coprime to t**n - 1 at these n.
+    # A has degree N = n // 2 + 1: N < d starts the chain at (D, A), and
+    # N >= d continues the chain of (A, D) after its first step.  Both f
+    # have d = 2: 5_1 (Phi_10) is palindromic of degree 4, and the
+    # trace polynomial of 2t**2 + t + 1, not palindromic, is that of
+    # (2t**2 + t + 1)(t**2 + t + 2).  So n = 1 reaches ``resultant`` and
+    # n = 3 ``_subresultant`` for each.  Both are coprime to t**n - 1.
     for f in (TABLE.get("5_1").tilde, IntPoly([1, 1, 2])):
         for seam, n in (("resultant", 1), ("_subresultant", 3)):
             with monkeypatch.context() as patch:
@@ -114,14 +113,18 @@ def prs_order(f, n):
 def _order_cases(rng):
     """Seeded polynomials for the order engine: a palindromic and a general
     one for each leading coefficient, products of those with Phi_1..Phi_12,
-    one with a factor t**2, and 3 t**2, where t**n mod f is 0 for n >= 2."""
+    one with a factor t**2 and 3 t**2, whose factors t are stripped, an odd
+    palindromic Phi_2 g and an anti-palindromic Phi_1 g for a palindromic
+    g, and t**3 times a general polynomial."""
     base = []
     for lc in (1, -1, 2, -2, 3, -4):
         tail = [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
         base.append(IntPoly([lc] + tail + [rng.randint(-7, 7)] + tail[::-1] + [lc]))
         base.append(IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 4))] + [lc]))
     products = [cyclotomic(m) * rng.choice(base) for m in range(1, 13)]
-    return base + products + [IntPoly([0, 0, 1]) * base[2], IntPoly([0, 0, 3])]
+    general = next(g for g in base[1::2] if g.degree > 0 and g.coeffs != g.coeffs[::-1])
+    extra = [cyclotomic(2) * base[4], cyclotomic(1) * base[6], IntPoly([0, 0, 0, 1]) * general]
+    return base + products + [IntPoly([0, 0, 1]) * base[2], IntPoly([0, 0, 3])] + extra
 
 
 def test_order_engine_matches_prs_on_the_whole_t_power_minus_one():
@@ -141,43 +144,25 @@ def test_order_engine_matches_prs_on_the_whole_t_power_minus_one():
 
 
 def test_order_engine_matches_sylvester_at_small_n():
+    # the orders, and |Res(t**n - 1, f f*)| = |Res(t**n - 1, f)|**2 for
+    # f* = t**m f(1/t): the identity that sends a general f of degree m
+    # through a palindromic one
     for f in _order_cases(random.Random(910)):
+        ff = f * IntPoly(f.coeffs[::-1])
         for n in range(1, 13):
-            oracle = abs(resultant_sylvester(IntPoly.t_power_minus_one(n), f))
+            cyc = IntPoly.t_power_minus_one(n)
+            oracle = abs(resultant_sylvester(cyc, f))
             assert order_from_tilde(f, n).order == oracle, (f.coeffs, n)
-
-
-def test_t_power_mod_keeps_the_power_of_the_leading_coefficient_minimal():
-    # R / a**k in lowest terms: no power of a = |lc(f)| is left to divide out
-    for f in _order_cases(random.Random(911)):
-        a = abs(f.lc)
-        for n in range(1, 121):
-            R, k = _t_power_mod(f, n)
-            assert len(R) <= f.degree, (f.coeffs, n)
-            assert k == 0 or (a > 1 and math.gcd(*R) % a != 0), (f.coeffs, n, k)
-
-
-def test_chain_seed_is_the_first_pseudo_remainder():
-    # the state order_from_tilde enters the chain of (t**n - 1, b) at:
-    # a**(n-m+1-k) g is exactly prem(t**n - 1, b) for b = +-f, lc(b) = a > 0
-    for f in _order_cases(random.Random(912)):
-        if f.degree < 1:  # constants never enter a chain
-            continue
-        b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
-        a, m = b[-1], len(b) - 1
-        for n in range(m, 121):
-            R, k = _t_power_mod(f, n)
-            g = IntPoly(R) - IntPoly((a**k,))
-            seed = [a ** (n - m + 1 - k) * c for c in g.coeffs]
-            assert seed == _prem(IntPoly.t_power_minus_one(n).coeffs, b), (f.coeffs, n)
+            assert abs(resultant_sylvester(cyc, ff)) == oracle**2, (f.coeffs, n)
 
 
 def test_order_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypatch):
-    # every pseudo-remainder of the power step and of the chain stays within
-    # 3x the bits of the order, plus a little: the chain's last ones multiply
-    # a subresultant by the square of the next one's leading coefficient.
-    # Res(f, R - a**k), with a**(k m) divided out only at the end, passes
-    # that by 1000 to 68000 bits on these polynomials.
+    # on general f, which go through the trace polynomial of f f*: every
+    # pseudo-remainder of the ladder and of the chain stays within 3x the
+    # bits of the order, plus a little: the chain's last ones multiply a
+    # subresultant by the square of the next one's leading coefficient.
+    # Res(f, R - a**k) for R / a**k = t**n mod f, with a**(k m) divided out
+    # only at the end, passes that by 1000 to 68000 bits on these polynomials.
     import covercalc.polynomials as polynomials
 
     prem, reduce, widest = polynomials._prem, polynomials._reduce, [0]
@@ -190,7 +175,7 @@ def test_order_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypa
         record(a, b, r)
         return r
 
-    def recording_reduce(r, k, b):  # the powering's pseudo-remainders
+    def recording_reduce(r, k, b):  # the ladder's pseudo-remainders
         record(r, b)
         out = reduce(r, k, b)
         record(out[0])
@@ -253,34 +238,12 @@ def _palindromic_cases(rng):
     return base, [phi * rng.choice(base) for phi in phis]
 
 
-def power_route_order(f, n):
-    # the t**n route at the full degree 2d, as order_from_tilde took it for
-    # every polynomial before the trace route
-    R, k = _t_power_mod(f, n)
-    a, m = abs(f.lc), f.degree
-    g = IntPoly(R) - IntPoly((a**k,))
-    if n < m:
-        return abs(resultant(f, g))
-    b = f.coeffs if f.lc > 0 else tuple(-c for c in f.coeffs)
-    return abs(_subresultant(b, [a ** (n - m + 1 - k) * c for c in g.coeffs], a, a ** (n - m)))
-
-
 @functools.lru_cache(maxsize=None)
 def dickson(n):
     # V_n by its recurrence, V_n(t + 1/t) = t**n + t**-n
     if n < 2:
         return IntPoly([2 - 2 * n, n])
     return IntPoly([0, 1]) * dickson(n - 1) - dickson(n - 2)
-
-
-@pytest.fixture
-def trace_route_only(monkeypatch):
-    import covercalc.covers as covers
-
-    def refuse(f, n):
-        raise AssertionError(f"{f.coeffs} took the t**n route")
-
-    monkeypatch.setattr(covers, "_t_power_mod", refuse)
 
 
 def test_trace_poly_satisfies_its_definition():
@@ -297,7 +260,7 @@ def test_trace_poly_satisfies_its_definition():
         assert back == f and D.degree == d and D.lc == f.lc, f.coeffs
 
 
-def test_trace_route_matches_prs_on_the_whole_t_power_minus_one(trace_route_only):
+def test_trace_route_matches_prs_on_the_whole_t_power_minus_one():
     base, products = _palindromic_cases(random.Random(921))
     infinite = finite = 0
     for f, top in [(f, 24) for f in base] + [(f, 120) for f in products]:
@@ -312,7 +275,7 @@ def test_trace_route_matches_prs_on_the_whole_t_power_minus_one(trace_route_only
             assert order_from_tilde(f, n).order == prs_order(f, n), (f.coeffs, n)
 
 
-def test_trace_route_matches_sylvester(trace_route_only):
+def test_trace_route_matches_sylvester():
     # against the Sylvester/Bareiss determinant, of t**n - 1 with f and of
     # D with 2 - V_n: the identity the route rests on
     base, products = _palindromic_cases(random.Random(922))
@@ -400,14 +363,15 @@ def test_trace_chain_carries_no_excess_power_of_the_leading_coefficient(monkeypa
     assert finite >= 8
 
 
-def test_trace_route_matches_the_power_route_on_every_bundled_knot(trace_route_only):
+def test_trace_route_matches_the_power_route_on_every_bundled_knot():
+    # the power route: the PRS on the whole t**n - 1 at the full degree 2d
     for knot in TABLE:
         f = knot.tilde
         for n in range(1, 401):
-            assert order_from_tilde(f, n).order == power_route_order(f, n), (knot.name, n)
+            assert order_from_tilde(f, n).order == prs_order(f, n), (knot.name, n)
 
 
-def test_trace_route_at_huge_n(trace_route_only):
+def test_trace_route_at_huge_n():
     # 3_1 and 5_1 have Phi_6 and Phi_10, so their orders repeat with period
     # 6 and 10; 4_1's order at n = 10**18 would have ~7e17 bits, so the
     # route can only be asked for it at small n (test_figure_eight_orders)
@@ -427,7 +391,7 @@ def plans_cofactor(f, n):
     return abs(f(1) if n % 2 else f(1) * f(-1))
 
 
-def test_orders_have_plans_structure(trace_route_only):
+def test_orders_have_plans_structure():
     # the palindromic cases and large n of the trace-route PRS test above
     base, products = _palindromic_cases(random.Random(921))
     big = [knot.tilde for knot in TABLE] + base[8::20] + products[1::10]
@@ -444,16 +408,18 @@ def test_orders_have_plans_structure(trace_route_only):
 
 
 def test_a_root_at_one_or_minus_one_gives_order_zero_at_once(monkeypatch):
-    # f = Phi_1**2 g or Phi_2**2 g, palindromic: t**n - 1 shares t = 1 for
-    # every n and t = -1 for even n, so the trace route stops before the
-    # ladder; the odd orders of Phi_2**2 g still match the PRS
+    # f = Phi_1**2 g or Phi_2**2 g, for a palindromic or a general g:
+    # t**n - 1 shares t = 1 for every n and t = -1 for even n, so the route
+    # stops before the ladder; the odd orders of Phi_2**2 g still match the PRS
     import covercalc.covers as covers
 
     def refuse(D, n):
         raise AssertionError(f"ladder run at n = {n}")
 
     base, _ = _palindromic_cases(random.Random(926))
-    for g in base[::3]:
+    general = [g for g in _order_cases(random.Random(926))[1:12:2] if g.coeffs != g.coeffs[::-1]]
+    assert len(general) >= 4
+    for g in base[::3] + general:
         for phi, zero in ((cyclotomic(1), range(1, 41)), (cyclotomic(2), range(2, 41, 2))):
             f = phi * phi * g
             with monkeypatch.context() as patch:

@@ -9,7 +9,6 @@ from covercalc.polynomials import (
     IntPoly,
     ModPoly,
     exact_divide,
-    gcd_fp,
     int_poly_gcd,
     irreducible_factor_degrees,
     resultant,
@@ -29,6 +28,7 @@ from oracles import (
     factor_degrees_exhaustive,
     fp_divmod,
     fp_mul,
+    gcd_fp,
     gcd_fp_euclid,
     int_poly_gcd_fraction,
     irreducible_factor_degrees_sqfree,
