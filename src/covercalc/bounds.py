@@ -42,24 +42,39 @@ def _log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+def _finite(name: str, bound) -> float:
+    # the value of bound(), which must be a finite float: an int operand
+    # beyond float range raises OverflowError, a product beyond it is inf
+    try:
+        x = bound()
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} is beyond float range")
+    return x
+
+
 def gromov_norm_bound(g: int, delta: int) -> float:
     """(3*pi/v3) * (2g - 1) * log(delta!), the Gromov-norm ceiling for every
-    fibered predecessor of a genus-g knot with arc index delta."""
+    fibered predecessor of a genus-g knot with arc index delta; ValueError
+    when it is not a finite float."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     if delta < 2:
         raise ValueError("arc index must be >= 2")
-    return (3.0 * math.pi / V3) * (2 * g - 1) * _log_factorial(delta)
+    return _finite("gromov norm bound",
+                   lambda: (3.0 * math.pi / V3) * (2 * g - 1) * _log_factorial(delta))
 
 
 def km_volume_bound(chi: int, dilatation: float) -> float:
     """Kojima-McShane: vol of the open mapping torus of a pseudo-Anosov map
-    is at most 3*pi*|chi|*log(dilatation)."""
+    is at most 3*pi*|chi|*log(dilatation); ValueError when that is not a
+    finite float."""
     if chi > -1:
         raise ValueError("Euler characteristic must be <= -1")
-    if dilatation <= 1.0:
+    if not dilatation > 1.0:  # NaN included
         raise ValueError("dilatation must exceed 1")
-    return 3.0 * math.pi * abs(chi) * math.log(dilatation)
+    return _finite("volume bound", lambda: 3.0 * math.pi * abs(chi) * math.log(dilatation))
 
 
 class FixSample(_Value):
@@ -82,8 +97,11 @@ class FixSample(_Value):
 
 
 class DilatationEstimate(_Value):
-    """min over samples of count**(1/n): an upper bound for the dilatation
-    whenever each count genuinely bounds the fixed points of that iterate.
+    """min over samples of count**(1/n), an estimate of the dilatation.
+
+    It is not a bound at finite n: the fixed-point counts of the 4_1
+    monodromy, lambda**n + lambda**-n - 2, give 5**(1/2) = 2.236... at n = 2
+    while lambda = 2.618...; only the limit over n is the dilatation.
 
     A zero count cannot occur for a pseudo-Anosov map; the estimate is then
     flagged degenerate instead of trusted.
@@ -98,7 +116,7 @@ class DilatationEstimate(_Value):
 
 
 def dilatation_upper(samples) -> DilatationEstimate:
-    """Sharpest finite-sample upper estimate for the dilatation."""
+    """The finite-sample dilatation estimate: the least count**(1/n)."""
     samples = tuple(samples)
     if not samples:
         raise ValueError("need at least one sample")

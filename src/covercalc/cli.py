@@ -67,8 +67,7 @@ def _check_primes(ps) -> list[int]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_table(args) -> dict:
-    table, source = _resolve_table(args.table)
+def _cmd_table(args, table: KnotTable, source: str) -> dict:
     if args.action == "list":
         return {
             "command": "table_list",
@@ -96,8 +95,7 @@ def _cmd_table(args) -> dict:
     }
 
 
-def _cmd_cover(args) -> dict:
-    table, _ = _resolve_table(args.table)
+def _cmd_cover(args, table: KnotTable, source: str) -> dict:
     knot = _get_knot(table, args.name)
     lo, hi = _parse_range(args.n)
     ps = _check_primes(args.p or [])
@@ -115,8 +113,7 @@ def _cmd_cover(args) -> dict:
     return {"command": "cover", "knot": knot.name, "p": ps, "rows": rows}
 
 
-def _cmd_skp(args) -> dict:
-    table, _ = _resolve_table(args.table)
+def _cmd_skp(args, table: KnotTable, source: str) -> dict:
     knot = _get_knot(table, args.name)
     _check_primes([args.p])
     return {
@@ -127,8 +124,7 @@ def _cmd_skp(args) -> dict:
     }
 
 
-def _cmd_obstruct(args) -> dict:
-    table, _ = _resolve_table(args.table)
+def _cmd_obstruct(args, table: KnotTable, source: str) -> dict:
     j = _get_knot(table, args.j)
     k = _get_knot(table, args.k)
     ps = _check_primes(args.p or list(DEFAULT_PRIMES))
@@ -142,8 +138,7 @@ def _cmd_obstruct(args) -> dict:
     }
 
 
-def _cmd_filter(args) -> dict:
-    table, source = _resolve_table(args.table)
+def _cmd_filter(args, table: KnotTable, source: str) -> dict:
     knot = _get_knot(table, args.k)
     names = filter_predecessors(knot, table)
     return {
@@ -180,8 +175,7 @@ def _read_samples(path: str) -> list:
     return samples
 
 
-def _cmd_bounds(args) -> dict:
-    table, _ = _resolve_table(args.table)
+def _cmd_bounds(args, table: KnotTable, source: str) -> dict:
     knot = _get_knot(table, args.name)
     genus = args.genus if args.genus is not None else knot.genus
     delta = args.delta if args.delta is not None else knot.arc_index
@@ -448,7 +442,7 @@ def run(argv, out=None) -> int:
                 ) from None
             print(view, file=out)
             return 0
-        payload = _COMMANDS[args.command](args)
+        payload = _COMMANDS[args.command](args, *_resolve_table(args.table))
         if args.json:
             print(json.dumps(payload, indent=2), file=out)
         else:

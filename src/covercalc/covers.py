@@ -2,16 +2,8 @@
 
 The order of H1 of the n-fold branched cyclic cover is |Res(t**n - 1, f)|
 for the degree-2d polynomial f of the knot; order 0 encodes an infinite
-group.  f is palindromic, so the order comes from its degree-d trace
-polynomial D, and half of it is a square: with m = n // 2, 2 - V_(2m+1) =
--(x - 2) W**2 and 2 - V_2m = -(x**2 - 4) U**2 make it Res(D, A)**2 / |f(1)|
-for odd n and Res(D, A)**2 / |f(1) f(-1)| for even n, an exact division,
-for an A of degree m + 1, and f(1) = 0, or f(-1) = 0 at even n, gives 0 at
-once (proofs in ``order_from_tilde``).  A mod D comes from the Lucas ladder
-in Z[x]; one subresultant chain of degree d is left, and t**n - 1 is never built.
-Any other f of degree d, its factors t stripped, takes the route through
-f(t) t**d f(1/t), whose order is the square of f's: |Res(D, A)| / |f(1)|,
-or / |f(1) f(-1)|.
+group.  ``order_from_tilde`` computes it at degree d from the trace
+polynomial of f, without building t**n - 1; its docstring holds the proof.
 The orders are memoized in one bounded LRU dict keyed by (polynomial, n),
 which the Z/p-sphere test peeks: H1(cover; Z/p) = H1(cover) (x) Z/p, so the
 cover is a Z/p-homology sphere iff its order is nonzero and prime to p.
@@ -132,13 +124,13 @@ def order_from_tilde(f: IntPoly, n: int) -> CoverOrder:
         D, e = _trace_poly(f), 2
     else:
         D, e = _trace_poly(f * IntPoly(f.coeffs[::-1])), 1
-    R, k = _lucas_mod(D, n)
+    b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
+    R, k = _lucas_mod(b, n)
     g, N = IntPoly(R), n // 2 + 1
-    a, d = abs(D.lc), D.degree
+    a, d = b[-1], D.degree
     if N < d:
         res = resultant(D, g)
     else:
-        b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
         res = _subresultant(b, [a ** (N - d + 1 - k) * c for c in g.coeffs], a, a ** (N - d))
     if res == 0:
         if int_poly_gcd(D, g).degree < 1:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from functools import cached_property
 
 from ._value import _is_int, _Value
-from .polynomials import IntPoly, _seifert_det
+from .polynomials import IntPoly, _format_terms, _seifert_det
 
 __all__ = [
     "AlexanderPoly",
@@ -76,18 +77,7 @@ class AlexanderPoly(_Value):
         return alexander_mul(self, other)
 
     def __str__(self) -> str:
-        d = self.half_degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = i - d
-            if e == 0:
-                parts.append(f"{c}")
-            else:
-                base = "t" if e == 1 else ("t^-1" if e == -1 else f"t^{e}")
-                parts.append(base if c == 1 else ("-" + base if c == -1 else f"{c}*{base}"))
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
+        return _format_terms(self.coeffs, -self.half_degree)
 
 
 def tilde(a: AlexanderPoly) -> IntPoly:
@@ -97,13 +87,11 @@ def tilde(a: AlexanderPoly) -> IntPoly:
 
 def alexander_mul(a: AlexanderPoly, b: AlexanderPoly) -> AlexanderPoly:
     """Product of symmetric representatives (connected sums multiply)."""
-    prod = tilde(a) * tilde(b)
-    n = a.half_degree + b.half_degree
-    full = list(prod.coeffs) + [0] * (2 * n + 1 - len(prod.coeffs))
-    return AlexanderPoly(tuple(full))
+    # the leading coefficients are nonzero, so the product keeps every term
+    return AlexanderPoly((tilde(a) * tilde(b)).coeffs)
 
 
-def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
+def alexander_from_seifert(v: Sequence[Sequence[int]]) -> AlexanderPoly:
     """Normalize det(V - t*V^T) for a square integer Seifert matrix V.
 
     The determinant is palindromic, det(V - tV^T) = det(V^T - tV), and of
@@ -121,13 +109,11 @@ def alexander_from_seifert(v: list[list[int]]) -> AlexanderPoly:
     det = _seifert_det(v)
     if det.is_zero:
         raise KnotTableError("det(V - tV^T) vanishes; not a Seifert matrix")
-    full = list(det.coeffs) + [0] * (n + 1 - len(det.coeffs))
-    while len(full) > 1 and full[0] == 0 and full[-1] == 0:
-        full = full[1:-1]
-    s = sum(full)
+    s = sum(det.coeffs)
     if s != 1:
         raise KnotTableError(f"det(V - V^T) = {s}, must be +-1; not a Seifert matrix")
-    return AlexanderPoly(tuple(full))
+    # stripped of its top zeros, det has as many at the bottom: pad them back
+    return AlexanderPoly.normalized(det.coeffs + (0,) * (n + 1 - len(det.coeffs)))
 
 
 class Knot(_Value):
@@ -171,7 +157,7 @@ class Knot(_Value):
                 f"({self.genus} != {d})"
             )
         if self.seifert is not None:
-            derived = alexander_from_seifert([list(r) for r in self.seifert])
+            derived = alexander_from_seifert(self.seifert)
             if derived != self.alexander:
                 raise KnotTableError(
                     f"{self.name}: Seifert matrix gives {list(derived.coeffs)}, "

@@ -9,15 +9,12 @@ The two resultant routines are deliberately independent of each other:
 ``resultant`` runs the subresultant polynomial remainder sequence, while
 ``resultant_sylvester`` evaluates the Sylvester determinant by fraction-free
 (Bareiss) elimination, and the test suite holds them to exact agreement.
-The cover orders run one subresultant chain (``_subresultant``), entered
-at (D, A) or after the first step of (A, D), for the trace polynomial D of
-a palindromic polynomial of degree 2d (h(t) = t**d D(t + 1/t),
-``_trace_poly``) and A = V_(m+1) - V_m or V_(m+1) - V_(m-1), m = n // 2,
-for the Dickson polynomials V_k(t + 1/t) = t**k + t**-k: the Lucas ladder
-in Z[x] reduces A mod D (``_lucas_mod``), so the ladder and the chain have
-degree d.  h is the knot's f itself, or f t**d f(1/t) for any other f of
-degree d.  Each product of the ladder is pseudo-reduced by one table of
-rows per modulus and put in lowest terms (``_reduce``).
+The cover orders (``covers.order_from_tilde``, which holds the proof) take
+the degree-d trace polynomial D of a palindromic polynomial of degree 2d
+(``_trace_poly``), reduce a Dickson-polynomial combination A mod D by the
+Lucas ladder (``_lucas_mod``, its products pseudo-reduced by one row table
+per modulus in ``_reduce``) and run one subresultant chain
+(``_subresultant``) of degree d.
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
 2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
@@ -83,7 +80,39 @@ def _divexact(a: int, b: int) -> int:
     return q
 
 
-class IntPoly(_Value):
+class _Coeffs:
+    # the part of a polynomial that reads only its stripped coefficient tuple;
+    # a plain mixin, as every subclass of _Value must name its _fields
+    __slots__ = ()
+
+    @property
+    def degree(self) -> int:
+        # zero polynomial reports degree -1
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lc(self) -> int:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+
+def _format_terms(coeffs: Sequence[int], low: int = 0) -> str:
+    # coeffs[i] is the coefficient of t**(low + i); terms print highest first
+    parts = []
+    for e, c in reversed(list(enumerate(coeffs, low))):
+        if c:
+            base = "t" if e == 1 else f"t^{e}"
+            term = base if c == 1 else "-" + base if c == -1 else f"{c}*{base}"
+            parts.append(term if e else f"{c}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+class IntPoly(_Coeffs, _Value):
     """Polynomial over Z; ``coeffs[i]`` is the coefficient of t**i."""
 
     _fields = ("coeffs",)
@@ -114,21 +143,6 @@ class IntPoly(_Value):
             raise ValueError("need n >= 1")
         return cls((-1,) + (0,) * (n - 1) + (1,))
 
-    @property
-    def degree(self) -> int:
-        # zero polynomial reports degree -1
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, x: int) -> int:
         y = 0
         for c in reversed(self.coeffs):
@@ -151,21 +165,7 @@ class IntPoly(_Value):
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = f"{c}" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if i > 0 and abs(c) != 1:
-                term = f"{c}*" + term
-            elif i > 0 and c == -1:
-                term = "-" + term
-            parts.append(term)
-        s = " + ".join(parts).replace("+ -", "- ")
-        return s
+        return _format_terms(self.coeffs)
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -260,20 +260,20 @@ def _trace_poly(f: IntPoly) -> IntPoly:
     return IntPoly(D)
 
 
-def _lucas_mod(D: IntPoly, n: int) -> tuple[tuple[int, ...], int]:
-    """(R, k) with R / a**k = A_n mod D over Q in lowest terms, R stripped and
-    deg R < deg D, for a = |lc(D)|, deg D >= 1, n >= 1 and m = n // 2, where
-    A_n = V_(m+1) - V_m (odd n) or 2 V_(m+1) - x V_m = V_(m+1) - V_(m-1)
-    (even n) is monic of degree m + 1; R = A_n when m + 1 < deg D.
+def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """(R, k) with R / a**k = A_n mod b over Q in lowest terms, R stripped and
+    deg R < deg b, for stripped coefficients b of degree >= 1 with a = lc(b)
+    > 0, n >= 1 and m = n // 2, where A_n = V_(m+1) - V_m (odd n) or
+    2 V_(m+1) - x V_m = V_(m+1) - V_(m-1) (even n) is monic of degree m + 1;
+    R = A_n when m + 1 < deg b.
 
-    The Lucas ladder takes (V_j, V_(j+1)) mod D along the leading bits j of
+    The Lucas ladder takes (V_j, V_(j+1)) mod b along the leading bits j of
     n // 4 by V_2j = V_j**2 - 2 and V_(2j+1) = V_j V_(j+1) - x, and the same
     rules give A_4j = V_j A_2j, A_(4j+1) = V_j A_(2j+1) - A_1, A_(4j+2) =
     V_(j+1) A_2j + A_2 and A_(4j+3) = V_(j+1) A_(2j+1) + A_1 (A_1 = x - 2,
-    A_2 = x**2 - 4): O(log n) products of degree below deg D, each put in
+    A_2 = x**2 - 4): O(log n) products of degree below deg b, each put in
     lowest terms by ``_reduce``.
     """
-    b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
     a = b[-1]
 
     def double(r, k):  # V_2j from V_j
@@ -504,7 +504,7 @@ def _positive_primitive(f: IntPoly) -> IntPoly:
     return -out if out.lc < 0 else out
 
 
-class ModPoly(_Value):
+class ModPoly(_Coeffs, _Value):
     """Polynomial over the prime field F_p, residues stored in [0, p).
 
     A value type: the modulus is checked for primality and the coefficients
@@ -534,20 +534,6 @@ class ModPoly(_Value):
     def reduce(cls, f: IntPoly, p: int) -> "ModPoly":
         """The image of an integer polynomial in F_p[t]."""
         return cls(p, f.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __str__(self) -> str:
         return f"{list(self.coeffs)} (mod {self.p})"

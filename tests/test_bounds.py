@@ -63,6 +63,10 @@ def test_gromov_validation():
         gromov_norm_bound(0, 5)
     with pytest.raises(ValueError):
         gromov_norm_bound(1, 1)
+    # a bound beyond float range is refused, not returned as inf
+    for g, delta in ((10**400, 3), (1, 10**400), (10**6, 10**300)):
+        with pytest.raises(ValueError, match="beyond float range"):
+            gromov_norm_bound(g, delta)
 
 
 # ------------------------------------------------------------ volume bound
@@ -96,6 +100,11 @@ def test_km_volume_validation():
         km_volume_bound(0, 2.0)
     with pytest.raises(ValueError):
         km_volume_bound(-1, 1.0)
+    with pytest.raises(ValueError, match="must exceed 1"):
+        km_volume_bound(-1, math.nan)
+    for chi, dilatation in ((-(10**400), 2.0), (-1, math.inf), (-(10**306), 1e300)):
+        with pytest.raises(ValueError, match="beyond float range"):
+            km_volume_bound(chi, dilatation)
 
 
 # -------------------------------------------------------------- dilatation
@@ -190,6 +199,8 @@ def test_connected_sum_genus():
     assert connected_sum_genus([1, 2, 3]) == 6
     with pytest.raises(ValueError):
         connected_sum_genus([])
+    with pytest.raises(ValueError, match="summand genera"):
+        connected_sum_genus([1, 0])
 
 
 # -------------------------------------------------------- satellite profile
@@ -214,6 +225,8 @@ def test_winding_bound():
     assert winding_bound_check(6, 6, 1)
     assert not winding_bound_check(2, 3, 1)
     assert winding_bound_check(4, 2, 2)  # boundary equality
+    with pytest.raises(ValueError, match="companion genus"):
+        winding_bound_check(1, 1, 0)
 
 
 def test_cable_profile_consistency():

@@ -211,6 +211,18 @@ def test_bounds_requires_data():
     assert "genus 2, arc index 8" in out
 
 
+def test_bounds_requires_a_genus_of_at_least_one(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    entry = {"name": "x", "alexander": [1, -1, 1], "arc_index": 5, "fibered": False}
+    table.write_text(json.dumps([entry]))
+    assert capture(["bounds", "x", "--table", str(table)]) == (2, "")
+    assert capsys.readouterr().err == "error: x: genus unknown; pass --genus\n"
+    assert capture(["bounds", "unknot", "--delta", "2"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bounds need genus >= 1 (the unknot has no fibered predecessors beyond itself)\n"
+    )
+
+
 def test_bounds_samples(tmp_path):
     samples = tmp_path / "s.json"
     samples.write_text(json.dumps([{"n": 2, "count": 9}, {"n": 3, "count": 27}]))
@@ -233,6 +245,34 @@ def test_bounds_bad_samples(tmp_path):
     samples.write_text("[{\"n\": 2}]")
     code, _ = capture(["bounds", "3_1", "--samples", str(samples)])
     assert code == 2
+
+
+def test_bounds_samples_file_missing_invalid_or_empty(tmp_path, capsys):
+    samples = tmp_path / "s.json"
+    argv = ["bounds", "3_1", "--samples", str(samples)]
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: bad samples file {samples}: [Errno 2] ")
+    samples.write_text("not json")
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: bad samples file {samples}: Expecting value: line 1 column 1 (char 0)\n"
+    )
+    samples.write_text("[]")
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: samples file {samples} is empty\n"
+
+
+def test_bounds_samples_estimate_at_most_one_gives_no_volume_bound(tmp_path):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps([{"n": 1, "count": 1}, {"n": 2, "count": 4}]))
+    code, out = capture(["bounds", "3_1", "--samples", str(samples)])
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "dilatation upper estimate: 1.000000",
+        "mapping-torus volume bound: n/a (estimate <= 1)",
+    ]
+    code, out = capture(["bounds", "3_1", "--samples", str(samples), "--json"])
+    assert code == 0 and json.loads(out)["dilatation"]["km_volume_bound"] is None
 
 
 @pytest.mark.parametrize(
@@ -289,6 +329,28 @@ def test_bounds_gromov_ceiling_past_float_precision_prints_in_exponent_form():
     for genus, shown in (("1000000000", "2.805200e+11"), ("100000000", "28052004800.227169")):
         code, out = capture(["bounds", "3_1", "--genus", genus, "--delta", "10"])
         assert code == 0 and f"predecessor <= {shown}" in out.splitlines()[1], out
+
+
+@pytest.mark.parametrize(
+    "args, samples",
+    [
+        (["--genus", str(10**400)], None),
+        (["--delta", str(10**400)], None),
+        (["--genus", "1000000", "--delta", str(10**300)], None),
+        # the ceiling is finite, the mapping-torus volume bound is not
+        (["--genus", str(10**306), "--delta", "2"], [{"n": 1, "count": 10**300}]),
+    ],
+)
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_bounds_beyond_float_range_is_a_data_error(tmp_path, capsys, args, samples, form):
+    if samples is not None:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(samples))
+        args = [*args, "--samples", str(path)]
+    code, out = capture(["bounds", "3_1", *args, *form])
+    assert (code, out) == (2, "")
+    name = "gromov norm bound" if samples is None else "volume bound"
+    assert capsys.readouterr().err == f"error: {name} is beyond float range\n"
 
 
 def test_bounds_samples_ignore_extra_keys(tmp_path):
@@ -413,6 +475,12 @@ def test_render_rejects_bad_payload(tmp_path):
     path.write_text("not json")
     code, _ = capture(["render", str(path)])
     assert code == 2
+
+
+def test_render_of_an_unreadable_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert capture(["render", str(path)]) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: [Errno 2] ")
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,8 @@ def test_cover_order_validation():
         CoverOrder(0, 5)
     with pytest.raises(ValueError):
         order_from_tilde(IntPoly([1]), 0)
+    with pytest.raises(ValueError, match="cover index"):
+        is_zp_homology_sphere(TABLE.get("3_1"), 0, 2)
 
 
 # ------------------------------------------- orders without t**n - 1
@@ -302,7 +304,7 @@ def test_lucas_mod_keeps_the_power_of_the_leading_coefficient_minimal():
         D = _trace_poly(f)
         a, d = abs(D.lc), D.degree
         for n in range(1, 121):
-            R, k = _lucas_mod(D, n)
+            R, k = _lucas_mod(D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs), n)
             assert len(R) <= d and R[-1:] != (0,), (f.coeffs, n)
             assert k == 0 or (a > 1 and math.gcd(*R) % a != 0), (f.coeffs, n, k)
             if n // 2 + 1 < d:
@@ -318,7 +320,7 @@ def test_trace_chain_seed_is_the_first_pseudo_remainder():
         b = D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
         a, d = b[-1], len(b) - 1
         for n in range(max(2 * d - 2, 1), 121):  # N >= d
-            R, k = _lucas_mod(D, n)
+            R, k = _lucas_mod(b, n)
             seed = [a ** (n // 2 + 2 - d - k) * c for c in R]
             assert seed == _prem(half_a(n).coeffs, b), (f.coeffs, n)
 
@@ -445,7 +447,7 @@ def test_a_mod_d_that_loses_its_top_coefficient():
             r[len(r) - 6 + i] -= top * b[i]
     assert len(r) == 6 and r[-1] == 0
     assert _subresultant(b, r, 1, 1) == 0
-    R, k = _lucas_mod(D, 15)
+    R, k = _lucas_mod(b, 15)
     assert (list(R), k) == (r[:-1], 0)
     assert _subresultant(b, list(R), 1, 1) != 0
     assert order_from_tilde(f, 15).order == prs_order(f, 15) > 0
@@ -690,6 +692,11 @@ def test_skp_admissibility_not_necessary():
 def test_skp_rejects_nonprime():
     with pytest.raises(ValueError):
         skp_set(TABLE.get("3_1"), 9)
+
+
+def test_skp_rejects_a_polynomial_that_vanishes_mod_p():
+    with pytest.raises(ValueError, match="vanishes identically mod 3"):
+        skp_from_tilde(IntPoly([3, 3]), 3)
 
 
 # -------------------------------------------------------------- admissible

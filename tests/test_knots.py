@@ -141,6 +141,31 @@ def test_normalized_fixes_sign_and_padding():
         AlexanderPoly.normalized([2, -3, 2, -3, 2])  # value 0 at t=1
 
 
+def test_alexander_poly_str():
+    # exponents -d..d, highest first; t^-1 is written like every other power
+    shown = {
+        (1,): "1",
+        (1, -1, 1): "t - 1 + t^-1",
+        (3, -5, 3): "3*t - 5 + 3*t^-1",
+        (2, 0, -3, 0, 2): "2*t^2 - 3 + 2*t^-2",
+        (-1, 1, 1, 1, -1): "-t^2 + t + 1 + t^-1 - t^-2",
+    }
+    for coeffs, text in shown.items():
+        assert str(AlexanderPoly(coeffs)) == text, coeffs
+    assert [str(k.alexander) for k in bundled_table()] == [
+        "1",
+        "t - 1 + t^-1",
+        "-t + 3 - t^-1",
+        "t^2 - t + 1 - t^-1 + t^-2",
+        "2*t - 3 + 2*t^-1",
+        "-2*t + 5 - 2*t^-1",
+        "-t^2 + 3*t - 3 + 3*t^-1 - t^-2",
+        "t^2 - 3*t + 5 - 3*t^-1 + t^-2",
+        "t^2 - 2*t + 3 - 2*t^-1 + t^-2",
+        "-2*t^2 + 7*t - 9 + 7*t^-1 - 2*t^-2",
+    ]
+
+
 def test_tilde():
     assert tilde(TREFOIL) == IntPoly([1, -1, 1])
     assert tilde(UNKNOT) == IntPoly([1])
@@ -205,6 +230,9 @@ def test_load_table_accepts_valid_entries():
          "arc_index must be an integer"),
         ({"name": "x", "alexander": [1, -1, 1], "fibered": False,
           "seifert": [[-1, True], [False, -1]]}, "seifert must be an array of integer"),
+        ([{"name": "x"}], "table entry must be an object, got list"),
+        ({"name": 5, "alexander": [1, -1, 1], "fibered": False}, "name must be a string"),
+        ({"name": "x", "alexander": [1, -1, 1], "fibered": 0}, "fibered must be a boolean"),
     ],
 )
 def test_load_table_rejects_bad_entries(entry, message):

@@ -63,6 +63,29 @@ def test_equal_int_polys_hash_equal_however_padded():
     assert IntPoly((1, 2)) != IntPoly((1, 2, 3))
 
 
+
+def test_int_poly_and_mod_poly_str():
+    # highest term first; the coefficient is written out unless it is +-1
+    shown = {
+        (): "0",
+        (5,): "5",
+        (-1,): "-1",
+        (0, 1): "t",
+        (0, -1): "-t",
+        (1, -3, 1): "t^2 - 3*t + 1",
+        (-1, 0, 0, 2): "2*t^3 - 1",
+        (0, 0, -1): "-t^2",
+        (3, 1, -2): "-2*t^2 + t + 3",
+        (0, -7, 0, 1): "t^3 - 7*t",
+        (-1, 3, -3, 3, -1): "-t^4 + 3*t^3 - 3*t^2 + 3*t - 1",
+    }
+    for coeffs, text in shown.items():
+        assert str(IntPoly(coeffs)) == text, coeffs
+    assert str(ModPoly(5, [1, 7, -1])) == "[1, 2, 4] (mod 5)"
+    assert str(ModPoly(3, [])) == "[] (mod 3)"
+    assert str(ModPoly(2, [3, 0, 2])) == "[1] (mod 2)"
+
+
 # ---------------------------------------------------------------- resultant
 
 
