@@ -22,8 +22,12 @@ class _Value:
     A subclass's ``__init__`` validates its arguments and sets each field
     with ``object.__setattr__``.  Instances equal only instances of the same
     class with equal fields, hash as the tuple of their fields, and print as
-    ``Name(field=value, ...)``.  Subclasses that serve as memo-cache keys
-    override ``__eq__`` and ``__hash__`` with direct field comparisons.
+    ``Name(field=value, ...)``.  ``IntPoly`` and ``PrimeSet`` override
+    ``__eq__`` and ``__hash__`` with direct field comparisons, as the memo
+    caches look them up most: one filter pass over the perfbench seed-1
+    filter table makes about 176k lookups keyed by ``IntPoly`` and 38k by
+    ``PrimeSet``, but only 3.3k by ``CoverOrder`` and 450 by ``ModPoly``,
+    which keep these versions (the same answers and hash values).
     """
 
     __slots__ = ()

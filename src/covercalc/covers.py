@@ -64,14 +64,6 @@ class CoverOrder(_Value):
         if order < 0:
             raise ValueError("order must be >= 0")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.order == other.order
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.order))
-
     @property
     def infinite(self) -> bool:
         return self.order == 0
@@ -149,9 +141,6 @@ def _cached_order(f: IntPoly, n: int) -> CoverOrder:
         _orders.popitem(last=False)
     _orders[f, n] = order
     return order
-
-
-_cached_order.cache_clear = _orders.clear
 
 
 def fox_order(K: Knot, n: int) -> CoverOrder:

@@ -157,7 +157,10 @@ class Knot(_Value):
                 f"({self.genus} != {d})"
             )
         if self.seifert is not None:
-            derived = alexander_from_seifert(self.seifert)
+            try:
+                derived = alexander_from_seifert(self.seifert)
+            except KnotTableError as exc:
+                raise KnotTableError(f"{self.name}: {exc}") from None
             if derived != self.alexander:
                 raise KnotTableError(
                     f"{self.name}: Seifert matrix gives {list(derived.coeffs)}, "
@@ -251,7 +254,7 @@ def load_table(document) -> KnotTable:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise KnotTableError(f"invalid JSON: {exc}") from None
     if not isinstance(document, list):
         raise KnotTableError("knot table must be a JSON array of objects")
@@ -267,7 +270,7 @@ def load_table_file(path) -> KnotTable:
     try:
         with open(name, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KnotTableError(f"cannot read table {path}: {exc}") from None
     return load_table(text)
 

@@ -195,22 +195,14 @@ def _admissible_indices(sk: tuple[PrimeSet, ...], max_n: int) -> tuple[int, ...]
     return tuple(n for n in range(1, max_n + 1) if all(admissible(n, s) for s in sk))
 
 
-def filter_predecessors(
-    K: Knot,
-    table: KnotTable,
-    primes_p=DEFAULT_PRIMES,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[str]:
-    """Names of table knots not obstructed as ribbon predecessors of K,
-    in table order; K itself always qualifies."""
+def filter_predecessors(K: Knot, table: KnotTable) -> list[str]:
+    """Names of table knots not obstructed as ribbon predecessors of K at
+    the default primes and cover indices, in table order; K itself always
+    qualifies."""
     candidates = list(table)
     if K.name not in table:
         candidates.append(K)
-    return [
-        J.name
-        for J in candidates
-        if obstruct(J, K, primes_p=primes_p, max_n=max_n).passed
-    ]
+    return [J.name for J in candidates if obstruct(J, K).passed]
 
 
 def _fmt_set(s: PrimeSet) -> str:

@@ -1,8 +1,10 @@
 """The golden CLI corpus: one sha256 per command line, in ``golden/*.sha256``.
 
 Each command line runs in process through ``cli.run`` over the bundled
-table; its digest is the sha256 of the JSON text of [exit code, stdout,
-stderr].  A line of a corpus file is ``<digest>  <command line>``.
+table, from the repository root, so a file argument is a path relative to
+it (the ``samples_*.json`` files beside the corpus); its digest is the
+sha256 of the JSON text of [exit code, stdout, stderr].  A line of a corpus
+file is ``<digest>  <command line>``.
 
     python tests/golden_corpus.py          # print the lines whose output changed;
                                            # exit 1 if there are any
@@ -18,12 +20,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
+ROOT = GOLDEN.parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from covercalc import bundled_table, cli  # noqa: E402
 
@@ -75,18 +79,41 @@ def error_commands() -> list[list[str]]:
     return [a for argv in argvs for a in (argv, [*argv, "--json"])]
 
 
+def table_commands() -> list[list[str]]:
+    return [[*argv, *j] for argv in (["table", "list"], ["table", "check"]) for j in ([], ["--json"])]
+
+
+def bounds_commands() -> list[list[str]]:
+    # delta 20 and 21 sit on both sides of bounds._EXACT_FACTORIAL_LIMIT
+    argvs = [
+        ["bounds", "3_1", "--genus", str(g), "--delta", str(d)]
+        for g in (1, 2, 5, 25)
+        for d in (2, 8, 20, 21, 40)
+    ]
+    samples = sorted(GOLDEN.glob("samples_*.json"))
+    argvs += [["bounds", "4_1", "--samples", path.relative_to(ROOT).as_posix()] for path in samples]
+    return [a for argv in argvs for a in (argv, [*argv, "--json"])]
+
+
 CORPUS = {
     "cover": cover_commands,
     "obstruct": obstruct_commands,
     "per_knot": per_knot_commands,
     "errors": error_commands,
+    "table": table_commands,
+    "bounds": bounds_commands,
 }
 
 
 def digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.run(argv, out=out)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.run(argv, out=out)
+    finally:
+        os.chdir(cwd)
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 

@@ -100,7 +100,7 @@ def test_criterion_fox_orders_at_large_n():
     import covercalc.covers as covers
 
     knots = [TABLE.get(name) for name in ("4_1", "5_2", "6_1")]
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
     with criterion("Fox orders of 4_1, 5_2, 6_1 at n = 4000..4019", budget_s=2.0):
         orders = {(k.name, n): fox_order(k, n).order for k in knots for n in range(4000, 4020)}
     for k in knots:

@@ -390,11 +390,22 @@ def test_table_flag_and_env(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_malformed_table_is_a_data_error(tmp_path):
+def test_malformed_table_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[{\"name\": \"x\", \"alexander\": [1, 1], \"fibered\": false}]")
     code, _ = capture(["table", "list", "--table", str(path)])
     assert code == 2
+    # the error names the file it cannot decode, or the knot whose Seifert matrix is bad
+    capsys.readouterr()
+    path.write_bytes(b"\xff\xfe")
+    assert capture(["table", "list", "--table", str(path)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: cannot read table {path}: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte\n"
+    )
+    path.write_text(json.dumps([{"name": "k9", "alexander": [1], "fibered": False, "seifert": [[1, 2]]}]))
+    assert capture(["table", "check", "--table", str(path)]) == (2, "")
+    assert capsys.readouterr().err == "error: k9: Seifert matrix must be square\n"
 
 
 # -------------------------------------------------------------- exit codes

@@ -218,7 +218,7 @@ def test_orders_never_build_t_power_minus_one(monkeypatch):
         raise AssertionError(f"t**{n} - 1 built at run time")
 
     monkeypatch.setattr(IntPoly, "t_power_minus_one", staticmethod(refuse))
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
     got = {(knot.name, n): fox_order(knot, n).order for knot in TABLE for n in range(1, 61)}
     assert got == expected
 
@@ -495,7 +495,7 @@ def test_zp_sphere_matches_order_divisibility(monkeypatch):
         for n in range(1, 41):
             for p in (2, 3, 5, 7, 11):
                 direct = kernel(ModPoly.reduce(knot.tilde, p), n).degree == 0
-                covers._cached_order.cache_clear()
+                covers._orders.clear()
                 cold = is_zp_homology_sphere(knot, n, p)
                 assert (knot.tilde, n) not in covers._orders
                 order = fox_order(knot, n)
@@ -504,7 +504,7 @@ def test_zp_sphere_matches_order_divisibility(monkeypatch):
                 monkeypatch.setattr(covers, "_gcd_t_power_minus_one", kernel)
                 via_order = (not order.infinite) and order.order % p != 0
                 assert direct == cold == warm == via_order, (knot.name, n, p)
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
 
 
 def test_order_cache_is_a_bounded_lru(monkeypatch):
@@ -519,7 +519,7 @@ def test_order_cache_is_a_bounded_lru(monkeypatch):
 
     monkeypatch.setattr(covers, "order_from_tilde", counting)
     monkeypatch.setattr(covers, "_CACHE_SIZE", 3)
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
     f = TABLE.get("4_1").tilde
     for n in (1, 2, 3):
         covers._cached_order(f, n)
@@ -538,7 +538,7 @@ def test_order_cache_is_a_bounded_lru(monkeypatch):
     assert list(covers._orders) == [(f, 37), (f, 38), (f, 39)]
     assert [covers._cached_order(f, n).order for n in (2, 3)] == [5, 16]
     assert computed[-2:] == [2, 3]
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
     assert not covers._orders
 
 
@@ -548,7 +548,7 @@ def test_zp_sphere_on_uncached_order_stores_no_order():
     import covercalc.covers as covers
 
     k41 = TABLE.get("4_1")
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
     start = time.perf_counter()
     assert is_zp_homology_sphere(k41, 10**18, 2)
     assert not is_zp_homology_sphere(k41, 10**18 + 2, 2)
@@ -566,13 +566,13 @@ def test_zp_sphere_rejects_a_polynomial_vanishing_mod_p():
         tilde = IntPoly((6, -6, 6))
 
     for memoized in (False, True):
-        covers._cached_order.cache_clear()
+        covers._orders.clear()
         if memoized:
             covers._cached_order(Corrupt.tilde, 4)
         for p in (2, 3):
             with pytest.raises(ValueError, match="vanishes mod"):
                 is_zp_homology_sphere(Corrupt, 4, p)
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
 
 
 def test_zp_sphere_at_huge_n():

@@ -45,6 +45,25 @@ def test_seifert_rejects_bad_matrices():
         alexander_from_seifert([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize(
+    "seifert,message",
+    [
+        ([[1, 2]], "Seifert matrix must be square"),
+        ([[3]], "Seifert matrix must have even size 2g"),
+        ([[1, 1], [1, 1]], "det(V - tV^T) vanishes; not a Seifert matrix"),
+        ([[0, 2], [0, 0]], "det(V - V^T) = 4, must be +-1; not a Seifert matrix"),
+    ],
+    ids=["not-square", "odd-size", "det-vanishes", "det-at-1-not-unit"],
+)
+def test_bad_seifert_matrix_errors_name_the_knot_once(seifert, message):
+    with pytest.raises(KnotTableError) as err:
+        load_table([{"name": "k9", "alexander": [1], "fibered": False, "seifert": seifert}])
+    assert str(err.value) == f"k9: {message}"
+    with pytest.raises(KnotTableError) as err:
+        Knot(name="k9", alexander=UNKNOT, seifert=tuple(map(tuple, seifert)))
+    assert str(err.value) == f"k9: {message}"
+
+
 def test_seifert_determinant_matches_fraction_oracle():
     # det(V - xV^T) at integer points must agree with sign * x^k * tilde(x)
     rng = random.Random(77)
@@ -246,6 +265,11 @@ def test_load_table_rejects_duplicates_and_junk():
         load_table([rec, rec])
     with pytest.raises(KnotTableError, match="JSON"):
         load_table("{nope")
+    with pytest.raises(KnotTableError) as err:
+        load_table(b"[\xff]")
+    assert str(err.value) == (
+        "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+    )
     with pytest.raises(KnotTableError, match="array"):
         load_table({"name": "a"})
 
@@ -293,3 +317,14 @@ def test_load_table_file_names_the_file_as_pathlib_spells_it(tmp_path):
             load_table_file(spelled)
         assert str(err.value).startswith(f"cannot read table {spelled}: [Errno ")
         assert str(err.value).endswith(f": {opened!r}")
+
+
+def test_load_table_file_that_is_not_utf8_names_the_file(tmp_path):
+    doc = tmp_path / "t.json"
+    doc.write_bytes(b"\xff\xfe")
+    with pytest.raises(KnotTableError) as err:
+        load_table_file(doc)
+    assert str(err.value) == (
+        f"cannot read table {doc}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    )

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from covercalc.covers import fox_order
-from covercalc.knots import bundled_table
+from covercalc.knots import Knot, alexander_mul, bundled_table
 from covercalc.obstruct import (
     FAIL,
     PASS,
@@ -130,6 +130,34 @@ def test_h1_divisibility_never_fails_when_divides():
                 both_finite = not (fox_order(K(jn), n).infinite or fox_order(K(kn), n).infinite)
                 if both_finite:
                     assert c.verdict == PASS
+
+
+def test_checks_after_alex_div_never_fail_on_bundled_knots_and_their_sums():
+    # Delta~_K = Delta~_J q in Z[t] decides every later check: Res(t**n - 1, .)
+    # is multiplicative, so |H1_n(J)| divides |H1_n(K)|; J mod p divides K mod
+    # p, so every factor degree of J is one of K and S(J, p) is in S(K, p);
+    # and hd(J) <= hd(K) <= g(K) for a fibered J.  So while alex_div passes,
+    # no other check can fail, which is why no bundled pair reaches the FAIL
+    # line of the h1_div verdict.
+    base = [k for k in TABLE if k.name != "unknot"]
+    sums = [
+        Knot(
+            name=f"{a.name}#{b.name}",
+            alexander=alexander_mul(a.alexander, b.alexander),
+            genus=a.genus + b.genus,
+            fibered=a.fibered and b.fibered,
+        )
+        for i, a in enumerate(base)
+        for b in base[i:]
+    ]
+    knots = [*TABLE, *sums]
+    dividing = [(J, K_) for J in knots for K_ in knots if alexander_divides(J, K_)]
+    assert len(knots) == 55 and len(dividing) > 4 * len(knots)
+    for J, K_ in dividing:
+        checks = [fibered_genus_check(J, K_)]
+        checks += [skp_containment(J, K_, p) for p in (2, 3, 5, 7)]
+        checks += [h1_order_divisibility(J, K_, n) for n in range(1, 41)]
+        assert [c for c in checks if c.verdict == FAIL] == [], (J.name, K_.name)
 
 
 # ------------------------------------------------------------------ obstruct
@@ -265,7 +293,7 @@ def test_filter_computes_each_cover_order_once(monkeypatch):
         return order(f, n)
 
     monkeypatch.setattr(covers, "order_from_tilde", counting)
-    covers._cached_order.cache_clear()
+    covers._orders.clear()
     _filter_all_targets()
     assert calls
     assert len(calls) == len(set(calls))
@@ -310,12 +338,13 @@ def test_obstruct_asks_each_prime_once():
 
 def _clear_every_cache():
     # every memo cache of the package, found by its cache_clear, so that a
-    # cache added later is cleared too
+    # cache added later is cleared too, and the cover-order dict
     for name, module in list(sys.modules.items()):
         if name.startswith("covercalc."):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+    importlib.import_module("covercalc.covers")._orders.clear()
 
 
 @pytest.mark.parametrize("primes_p,max_n", [(DEFAULT_PRIMES, 30), ((7, 2), 45)])
