@@ -3,8 +3,9 @@
 Output is deterministic.  Default rendering is aligned text; ``--json``
 emits a machine-readable record carrying everything the text view shows, and
 ``render`` regenerates the exact text view from such a record.  Exit codes:
-0 success, 1 obstruction failure under ``--strict``, 2 usage or data errors
-(a malformed ``render`` payload among them).
+0 success, 1 obstruction failure under ``--strict`` or stdout closed before
+all output was written (quietly, with nothing on stderr), 2 usage or data
+errors (a malformed ``render`` payload among them).
 """
 
 from __future__ import annotations
@@ -465,7 +466,15 @@ def main() -> None:
     # entry point lifts it and library callers keep their own setting
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`covercalc ... | head`); the rest of
+        # the output goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from .primes import _CACHE_SIZE, PrimeSet, prime_factors, primes_up_to, require_
 
 __all__ = [
     "CoverOrder",
-    "PrimeSet",
     "HfkDimBound",
     "fox_order",
     "order_from_tilde",

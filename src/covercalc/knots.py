@@ -116,6 +116,30 @@ def alexander_from_seifert(v: Sequence[Sequence[int]]) -> AlexanderPoly:
     return AlexanderPoly.normalized(det.coeffs + (0,) * (n + 1 - len(det.coeffs)))
 
 
+def _nonempty(name: str) -> str:
+    if not name:
+        raise KnotTableError("knot name must be nonempty")
+    return name
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+# The facts of a table record, in Knot's field order: whether a record must
+# have the fact, the test of its JSON value, what the error says the value
+# must be, and the conversion to Knot's value (None: the JSON value itself).
+_FACTS = {
+    "name": (True, lambda v: isinstance(v, str), "a string", _nonempty),
+    "alexander": (True, _list_of(_is_int), "an integer array", AlexanderPoly.normalized),
+    "genus": (False, _is_int, "an integer", None),
+    "arc_index": (False, _is_int, "an integer", None),
+    "fibered": (True, lambda v: isinstance(v, bool), "a boolean", None),
+    "seifert": (False, _list_of(_list_of(_is_int)), "an array of integer arrays",
+                lambda v: tuple(map(tuple, v))),
+}
+
+
 class Knot(_Value):
     """A named knot with its Alexander polynomial and optional extra data.
 
@@ -123,7 +147,7 @@ class Knot(_Value):
     that need them fail loudly when they are absent.
     """
 
-    _fields = ("name", "alexander", "genus", "arc_index", "fibered", "seifert")
+    _fields = tuple(_FACTS)
 
     def __init__(
         self,
@@ -134,14 +158,12 @@ class Knot(_Value):
         fibered: bool = False,
         seifert: tuple[tuple[int, ...], ...] | None = None,
     ):
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "name", _nonempty(name))
         object.__setattr__(self, "alexander", alexander)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "arc_index", arc_index)
         object.__setattr__(self, "fibered", fibered)
         object.__setattr__(self, "seifert", seifert)
-        if not self.name:
-            raise KnotTableError("knot name must be nonempty")
         if self.genus is not None and self.genus < 0:
             raise KnotTableError(f"{self.name}: genus must be >= 0")
         if self.arc_index is not None and self.arc_index < 2:
@@ -204,53 +226,37 @@ class KnotTable:
             raise KeyError(f"unknown knot {name!r}") from None
 
 
-_FIELDS = {"name", "alexander", "genus", "arc_index", "fibered", "seifert"}
-
-
-def _knot_from_record(rec: dict) -> Knot:
-    if not isinstance(rec, dict):
-        raise KnotTableError(f"table entry must be an object, got {type(rec).__name__}")
-    unknown = set(rec) - _FIELDS
-    if unknown:
-        raise KnotTableError(f"unknown fields {sorted(unknown)} in entry {rec.get('name')!r}")
-    for key in ("name", "alexander", "fibered"):
-        if key not in rec:
-            raise KnotTableError(f"entry {rec.get('name')!r} is missing field {key!r}")
-    name = rec["name"]
-    coeffs = rec["alexander"]
-    if not isinstance(name, str):
-        raise KnotTableError("name must be a string")
-    if not isinstance(coeffs, list) or not all(_is_int(c) for c in coeffs):
-        raise KnotTableError(f"{name}: alexander must be an integer array")
-    if not isinstance(rec["fibered"], bool):
-        raise KnotTableError(f"{name}: fibered must be a boolean")
-    for opt in ("genus", "arc_index"):
-        if opt in rec and not _is_int(rec[opt]):
-            raise KnotTableError(f"{name}: {opt} must be an integer")
-    seifert = None
-    if "seifert" in rec:
-        raw = rec["seifert"]
-        if not isinstance(raw, list) or not all(
-            isinstance(row, list) and all(_is_int(x) for x in row) for row in raw
-        ):
-            raise KnotTableError(f"{name}: seifert must be an array of integer arrays")
-        seifert = tuple(tuple(row) for row in raw)
+def _knot_from_record(rec, i: int) -> Knot:
+    # an error in reading record i begins with its name, or with "entry i"
+    # when it has no usable one; Knot's own checks, which run once the name
+    # is known to be nonempty, begin their errors with it themselves
     try:
-        alex = AlexanderPoly.normalized(coeffs)
+        if not isinstance(rec, dict):
+            raise KnotTableError(f"table entry must be an object, got {type(rec).__name__}")
+        unknown = rec.keys() - _FACTS
+        if unknown:
+            raise KnotTableError(f"unknown fields {sorted(unknown)}")
+        values = {}
+        for key, (required, test, phrase, convert) in _FACTS.items():
+            if key in rec:
+                if not test(rec[key]):
+                    raise KnotTableError(f"{key} must be {phrase}")
+                values[key] = rec[key] if convert is None else convert(rec[key])
+            elif required:
+                raise KnotTableError(f"missing field {key!r}")
     except KnotTableError as exc:
-        raise KnotTableError(f"{name}: {exc}") from None
-    return Knot(
-        name=name,
-        alexander=alex,
-        genus=rec.get("genus"),
-        arc_index=rec.get("arc_index"),
-        fibered=rec["fibered"],
-        seifert=seifert,
-    )
+        name = rec.get("name") if isinstance(rec, dict) else None
+        label = name if isinstance(name, str) and name else f"entry {i}"
+        raise KnotTableError(f"{label}: {exc}") from None
+    return Knot(**values)
 
 
 def load_table(document) -> KnotTable:
-    """Parse and validate a knot-table document (JSON text or parsed array)."""
+    """Parse and validate a knot-table document (JSON text or parsed array).
+
+    An error in a record begins with the record's name, or with ``entry i``
+    (counted from 1) when it has no usable one.
+    """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -258,7 +264,7 @@ def load_table(document) -> KnotTable:
             raise KnotTableError(f"invalid JSON: {exc}") from None
     if not isinstance(document, list):
         raise KnotTableError("knot table must be a JSON array of objects")
-    return KnotTable(_knot_from_record(rec) for rec in document)
+    return KnotTable(_knot_from_record(rec, i) for i, rec in enumerate(document, 1))
 
 
 def load_table_file(path) -> KnotTable:

@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from ._value import _Value
-from .primes import _CACHE_SIZE, PSI_13, is_prime, prime_factors
+from .primes import _CACHE_SIZE, PSI_13, is_prime
 
 __all__ = [
     "IntPoly",
@@ -60,7 +60,6 @@ __all__ = [
     "resultant",
     "resultant_sylvester",
     "irreducible_factor_degrees",
-    "prime_factors",
     "exact_divide",
     "int_poly_gcd",
 ]

@@ -65,13 +65,29 @@ def test_skp_empty_set():
     assert "= {}" in out
 
 
-def _module_cli(args, stdin=None):
+def _module_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _module_cli(args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "covercalc.cli", *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=_module_env(), timeout=60,
     )
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # `covercalc ... | head`: about 69 KB of JSON overfill a 64 KiB pipe
+    # buffer, so the process is still writing when the read end closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covercalc.cli", "cover", "4_1", "--n", "1..400", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err.decode() == ""
+    assert proc.returncode == 1
 
 
 def test_module_entry_point_runs_command():
@@ -406,6 +422,9 @@ def test_malformed_table_is_a_data_error(tmp_path, capsys):
     path.write_text(json.dumps([{"name": "k9", "alexander": [1], "fibered": False, "seifert": [[1, 2]]}]))
     assert capture(["table", "check", "--table", str(path)]) == (2, "")
     assert capsys.readouterr().err == "error: k9: Seifert matrix must be square\n"
+    path.write_text(json.dumps([{"name": 9, "alexander": [1], "fibered": False}]))
+    assert capture(["table", "list", "--table", str(path)]) == (2, "")
+    assert capsys.readouterr().err == "error: entry 1: name must be a string\n"
 
 
 # -------------------------------------------------------------- exit codes

@@ -259,6 +259,51 @@ def test_load_table_rejects_bad_entries(entry, message):
         load_table([entry])
 
 
+GOOD = {"name": "3_1", "alexander": [1, -1, 1], "fibered": True}
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ([{"name": "x", "alexander": [1, 1], "fibered": False}],
+         "x: coefficient list must have odd length, got 2"),
+        ([{"name": "x", "alexander": [1, 0, 1], "fibered": False}], "x: value at t=1 is 2, must be 1"),
+        ([{"name": "x", "alexander": [1, -1, 2], "fibered": False}],
+         "x: coefficients are not palindromic: [1, -1, 2]"),
+        ([{"name": "x", "alexander": [1, -1, 1], "genus": 0, "fibered": False}],
+         "x: Alexander half-degree 1 exceeds genus 0"),
+        ([{"name": "x", "alexander": [1, -1, 1], "genus": 2, "fibered": True}],
+         "x: fibered knot needs genus == Alexander half-degree (2 != 1)"),
+        ([{"name": "x", "alexander": [1, -1, 1], "fibered": False, "bogus": 1}],
+         "x: unknown fields ['bogus']"),
+        ([{"name": "x", "alexander": [1, -1, 1]}], "x: missing field 'fibered'"),
+        ([{"name": "x", "alexander": [1, -1, 1], "fibered": False, "seifert": [[1, 1], [0, -1]]}],
+         "x: Seifert matrix gives [-1, 3, -1], table says [1, -1, 1]"),
+        ([{"name": "x", "alexander": [True], "fibered": False}], "x: alexander must be an integer array"),
+        ([{"name": "x", "alexander": [1, -1, 1], "genus": True, "fibered": False}],
+         "x: genus must be an integer"),
+        ([{"name": "x", "alexander": [1, -1, 1], "arc_index": True, "fibered": False}],
+         "x: arc_index must be an integer"),
+        ([{"name": "x", "alexander": [1, -1, 1], "fibered": False, "seifert": [[-1, True], [False, -1]]}],
+         "x: seifert must be an array of integer arrays"),
+        ([[{"name": "x"}]], "entry 1: table entry must be an object, got list"),
+        ([{"name": 5, "alexander": [1, -1, 1], "fibered": False}], "entry 1: name must be a string"),
+        ([{"name": "x", "alexander": [1, -1, 1], "fibered": 0}], "x: fibered must be a boolean"),
+        # records without a usable name are counted from 1
+        ([{"alexander": [1, -1, 1], "fibered": False}], "entry 1: missing field 'name'"),
+        ([{"name": "", "alexander": [1, -1, 1], "fibered": False}], "entry 1: knot name must be nonempty"),
+        ([GOOD, {"name": None, "alexander": [1], "fibered": False}], "entry 2: name must be a string"),
+        ([GOOD, {"name": "k", "alexander": [1], "fibered": False, "signature": 0}],
+         "k: unknown fields ['signature']"),
+        ([{"name": 1, "alexander": [1], "fibered": False, "bogus": 1}], "entry 1: unknown fields ['bogus']"),
+    ],
+)
+def test_load_table_errors_begin_with_the_record_label(document, message):
+    with pytest.raises(KnotTableError) as err:
+        load_table(document)
+    assert str(err.value) == message
+
+
 def test_load_table_rejects_duplicates_and_junk():
     rec = {"name": "a", "alexander": [1], "fibered": False}
     with pytest.raises(KnotTableError, match="duplicate"):
