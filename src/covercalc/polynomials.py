@@ -11,11 +11,12 @@ The two resultant routines are deliberately independent of each other:
 (Bareiss) elimination, and the test suite holds them to exact agreement.
 The cover orders (``covers.order_from_tilde``, which holds the proof) take
 the degree-d trace polynomial D of a palindromic polynomial of degree 2d
-(``_trace_poly``), reduce a Dickson-polynomial combination A mod D by the
-Lucas ladder (``_lucas_mod``, started from a per-modulus window of the first
-Dickson polynomials mod D, ``_window``, its products pseudo-reduced by one
-row table per modulus in ``_reduce``) and run one subresultant chain
-(``_subresultant``) of degree d.
+(``_trace_poly``), reduce a Dickson-polynomial combination A mod D
+(``_lucas_mod``: the difference of two entries of a per-modulus sequence of
+the Dickson polynomials mod D, ``_sequence``, grown on demand up to a cap,
+and past what it holds a Lucas ladder started from it, its products
+pseudo-reduced by one row table per modulus in ``_reduce``) and run one
+subresultant chain (``_subresultant``) of degree d.
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
 2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
@@ -47,6 +48,7 @@ their test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import zip_longest
@@ -260,21 +262,40 @@ def _trace_poly(f: IntPoly) -> IntPoly:
     return IntPoly(D)
 
 
-_W = 5  # the bits of the Lucas ladder's window; see _lucas_mod
+_CAP = 2**8 + 2  # the most V_i a Dickson sequence holds; see _lucas_mod
+_grown = threading.Lock()
+
+
+def _sub(r, kr, s, ks, b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    # (R, k) with R / a**k = r / a**kr - s / a**ks mod b in lowest terms, for
+    # deg r, deg s <= deg b and a = lc(b); V_(i+1) = x V_i - V_(i-1) is
+    # _sub((0, *R_i), k_i, R_(i-1), k_(i-1), b): a shift and one row of _rows(b)
+    k = max(kr, ks)
+    p, q = b[-1] ** (k - kr), b[-1] ** (k - ks)
+    R, k = _reduce([p * x - q * y for x, y in zip_longest(r, s, fillvalue=0)], k, b)
+    return tuple(R), k
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _window(b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # (R, k) for V_0 .. V_(2**_W + 1) mod b, each in lowest terms as _reduce
-    # gives it, by V_(i+1) = x V_i - V_(i-1): a shift and one row of _rows(b);
-    # a cache of its own, as a build inside _rows would re-enter it
-    a, out = b[-1], [_reduce([2], 0, b), _reduce([0, 1], 0, b)]
-    for _ in range(2**_W):
-        (r, kr), (s, ks) = out[-1], out[-2]
-        k = max(kr, ks)
-        out.append(_reduce([a ** (k - kr) * x - a ** (k - ks) * y
-                            for x, y in zip_longest([0] + r, s, fillvalue=0)], k, b))
-    return tuple((tuple(r), k) for r, k in out)
+def _dickson(b: tuple[int, ...]) -> list[tuple[tuple[tuple[int, ...], int], ...]]:
+    # one slot, holding (R, k) for V_0 .. V_(L-1) mod b, L >= 2, as _reduce
+    # gives them; _sequence replaces the tuple in it by longer ones
+    return [(_sub((2,), 0, (), 0, b), _sub((0, 1), 0, (), 0, b))]
+
+
+def _sequence(b: tuple[int, ...], size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # V_0 .. V_(L-1) mod b at least, L = min(size, 2 * the stored length) for
+    # size <= _CAP: grown to what is asked, but at most doubled by one call.
+    # A longer tuple replaces the stored one, so a tuple once read never
+    # changes, and the lock keeps a slower thread from storing a shorter one
+    cell = _dickson(b)
+    if len(cell[0]) < size:
+        out, size = list(cell[0]), min(size, 2 * len(cell[0]))
+        while len(out) < size:
+            out.append(_sub((0, *out[-1][0]), out[-1][1], *out[-2], b))
+        with _grown:
+            cell[0] = max(cell[0], tuple(out), key=len)
+    return cell[0]
 
 
 def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
@@ -284,55 +305,50 @@ def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     2 V_(m+1) - x V_m = V_(m+1) - V_(m-1) (even n) is monic of degree m + 1;
     R = A_n when m + 1 < deg b.
 
-    The Lucas ladder takes (V_i, V_(i+1)) mod b along the leading bits i of
-    j = n // 4 by V_2i = V_i**2 - 2 and V_(2i+1) = V_i V_(i+1) - x, and the
-    same rules give A_4j = V_j A_2j, A_(4j+1) = V_j A_(2j+1) - A_1, A_(4j+2)
-    = V_(j+1) A_2j + A_2 and A_(4j+3) = V_(j+1) A_(2j+1) + A_1 (A_1 = x - 2,
-    A_2 = x**2 - 4): O(log n) products of degree below deg b, each put in
-    lowest terms by ``_reduce``.
+    A_n is one ``_sub`` of V_(m+1) and V_(m-1+n%2) mod b.  Each b has a
+    Dickson sequence, V_0 .. V_(L-1) mod b in lowest terms (``_sequence``),
+    grown by V_(i+1) = x V_i - V_(i-1) as far as the largest m asked, up to
+    L = _CAP, but by one call to at most twice its length.  When it then
+    holds V_(m+1), both are read off it and no product is taken.  Else the
+    Lucas ladder takes (V_i, V_(i+1)) mod b along the bits of j = m - 1
+    below its longest head i = j >> t with i + 1 < L, a Lucas chain started
+    from a table (Montgomery 1992), by V_2i = V_i**2 - 2 and V_(2i+1) =
+    V_i V_(i+1) - x: two products of degree below deg b per bit, and one
+    more step gives V_(m+1).  The answer does not depend on the route,
+    since R / a**k with k minimal is unique.
 
-    The ladder starts from a window, the fixed-window exponentiation of a
-    Lucas chain (Montgomery 1992): ``_window(b)`` holds V_0 .. V_(2**_W + 1)
-    mod b, so it begins at (V_i, V_(i+1)) for the longest head i = j >> t of
-    j with i <= 2**_W and runs only the t bits below it, at least _W fewer
-    than from (V_0, V_1).  The answer is the same, since R / a**k with k
-    minimal is unique: each entry is the pair the ladder would have reached.
     Cost model (2-vCPU Xeon VM, Python 3.11, the 36 cover-sweep moduli of
-    degree 1..7): a window is 2**_W linear steps once per modulus, about
-    120 us at _W = 5, and every order with n >= 4 * 2**_W saves _W bit
-    steps of two products each, about 37 us.  It is repaid after 3 such
-    orders of a knot; each further bit doubles the window for one more bit
-    step per order (about 12 us), which _W = 6 repays only after 12 orders
-    and _W = 7 after 24.
+    degree 1..7): a growth step is about 5 us on average up to the cap, a
+    ladder bit about 20 us.  An entry is one step, once per modulus, and
+    saves each later order at that m its ladder, log2 m bits from V_1, so
+    traffic that asks for every n of a knot repays any cap.  What bounds
+    the cap is the sequence itself: it holds O(_CAP**2 deg b) bits, 86 KB
+    at degree 7 and _CAP = 2**8 + 2, four times that per doubling of the
+    cap.  2**8 + 2 holds every order with n <= 2**9 + 1, ``cover --n
+    1..400`` among them; past it each doubling of n costs one bit.  The
+    doubling rule bounds the growth one order pays by what the sequence
+    already holds: grown to any m asked, a modulus put up to 1.3 ms of
+    build into a single order, and a cold cover-sweep pass (gc off) had
+    14-36 orders over 0.5 ms against 3-11 at a fixed 34-entry window;
+    doubled, 4-11.  It costs a few ladders per modulus, while the sequence
+    is short.
     """
-    a = b[-1]
+    a, m, j = b[-1], n // 2, n // 2 - 1
+    seq = _sequence(b, min(m + 2, _CAP))
+    if m + 2 <= len(seq):
+        return _sub(*seq[m + 1], *seq[m - 1 + n % 2], b)
 
-    def double(r, k):  # V_2j from V_j
-        sq = _mul(r, r) or [0]
-        sq[0] -= 2 * a ** (2 * k)
-        return _reduce(sq, 2 * k, b)
-
-    def add(r, kr, s, ks):  # V_(2j+1) from V_j and V_(j+1)
-        p = _mul(r, s) + [0] * (3 - len(r) - len(s))
-        p[1] -= a ** (kr + ks)
+    def mul(r, kr, s, ks, c):  # V_(2i+c) = V_i V_(i+c) - V_c for c = 0, 1
+        p = _mul(r, s) + [0] * (c + 2 - len(r) - len(s))
+        p[c] -= (2 - c) * a ** (kr + ks)
         return _reduce(p, kr + ks, b)
 
-    j = n >> 2
-    t = (j // (2**_W + 1)).bit_length()  # the least t with j >> t <= 2**_W
-    u, w = _window(b)[(j >> t) : (j >> t) + 2]
+    t = (j // (len(seq) - 1)).bit_length()  # the least t with j >> t <= len(seq) - 2
+    u, v = seq[(j >> t) : (j >> t) + 2]
     for i in range(t - 1, -1, -1):
-        u, w = (add(*u, *w), double(*w)) if j >> i & 1 else (double(*u), add(*u, *w))
-    (r, kr), (s, ks) = u, w  # V_j and V_(j+1)
-    k = max(kr, ks)
-    r, s = [a ** (k - kr) * c for c in r], [(2 - n % 2) * a ** (k - ks) * c for c in s]
-    # A_(2j+1) = V_(j+1) - V_j for odd n, A_2j = 2 V_(j+1) - x V_j for even n
-    q = [x - y for x, y in zip_longest(s, r if n % 2 else [0] + r, fillvalue=0)]
-    p, kp = w if n & 2 else u
-    q = _mul(p, q) + [0] * (4 - len(p) - len(q))  # plus 0, -A_1, A_2 or A_1
-    c = ((0, 0, 0), (2, -1, 0), (-4, 0, 1), (-2, 1, 0))[n % 4]
-    q[:3] = [x + y * a ** (k + kp) for x, y in zip(q, c)]
-    r, k = _reduce(q, k + kp, b)
-    return tuple(r), k
+        u, v = (mul(*u, *v, 1), mul(*v, *v, 0)) if j >> i & 1 else (mul(*u, *u, 0), mul(*u, *v, 1))
+    w = _sub((0, *v[0]), v[1], *u, b)  # V_(m+1) from V_(m-1) = u and V_m = v
+    return _sub(*w, *(v if n % 2 else u), b)
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:

@@ -40,6 +40,11 @@ def cover_commands() -> list[list[str]]:
     for name in (k.name for k in bundled_table()):
         for args in (["--n", "1..400", "-p", "2", "-p", "3"], ["--n", "997"], ["--n", "2048", "-p", "3"]):
             out += [["cover", name, *args], ["cover", name, *args, "--json"]]
+    # n = 506..522 runs across 514, the least n whose A_n needs V_258, one
+    # past the Dickson sequence's cap (polynomials._CAP): trace polynomials
+    # D of degree 1 with lc 1 and 2, and of degree 2 with lc 2
+    for name in ("4_1", "5_2", "3_1#6_1"):
+        out += [["cover", name, "--n", "506..522", *j] for j in ([], ["--json"])]
     return out
 
 

@@ -23,9 +23,9 @@ from covercalc.polynomials import (
     _lucas_mod,
     _prem,
     _reduce,
+    _sequence,
     _subresultant,
     _trace_poly,
-    _window,
     int_poly_gcd,
     resultant,
     resultant_sylvester,
@@ -471,10 +471,11 @@ def test_row_table_pseudo_remainder_equals_prem():
                     assert [lc ** (e - k) * c for c in R] == _prem(r, b), (r, b)
 
 
-def _window_cases(rng):
+def _dickson_cases(rng):
     # b = +-D of lc 1, -1, 2, 3, -4 and d = 1..8, and three moduli whose
-    # window drops degree: D = x (Phi_4), where V_1 = 0; D = x**3 - 2x
-    # (Phi_4 Phi_8), where V_8 = 2 and V_16 = 2; and D = x D_g (Phi_4 g)
+    # Dickson sequence drops degree: D = x (Phi_4), where V_1 = 0;
+    # D = x**3 - 2x (Phi_4 Phi_8), where V_8 = 2 and V_16 = 2; and
+    # D = x D_g (Phi_4 g)
     cases = [tuple(rng.randint(-9, 9) for _ in range(d)) + (lc,) for lc in (1, -1, 2, 3, -4) for d in range(1, 9)]
     g = IntPoly([3, -5, 4, -5, 3])
     for f in (cyclotomic(4), cyclotomic(4) * cyclotomic(8), cyclotomic(4) * g):
@@ -483,17 +484,36 @@ def _window_cases(rng):
     return cases
 
 
-def test_window_holds_the_dickson_polynomials_mod_b_in_lowest_terms():
+def grown_sequence(b, size):
+    # the stored sequence of b, asked for until it holds size entries, as
+    # one call of _sequence at most doubles it
+    sequence = _sequence(b, size)
+    while len(sequence) < size:
+        sequence = _sequence(b, size)
+    return sequence
+
+
+def fresh_sequence(monkeypatch, b, size):
+    # grown_sequence(b, size) from V_0 and V_1, in a cache of its own
+    import covercalc.polynomials as polynomials
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "_dickson", functools.lru_cache()(polynomials._dickson.__wrapped__))
+        return grown_sequence(b, size)
+
+
+def test_dickson_sequence_holds_the_dickson_polynomials_mod_b_in_lowest_terms():
     # entry i is prem(V_i, b) / a**e, e = max(i - d + 1, 0), with the powers
-    # of a = lc(b) common to every coefficient divided out, as _reduce does
+    # of a = lc(b) common to every coefficient divided out, as _reduce does,
+    # for every i up to the cap
     import covercalc.polynomials as polynomials
 
     drops = 0
-    for b in _window_cases(random.Random(928)):
+    for b in _dickson_cases(random.Random(928)):
         a, d = b[-1], len(b) - 1
-        window = _window(b)
-        assert len(window) == 2**polynomials._W + 2
-        for i, entry in enumerate(window):
+        sequence = grown_sequence(b, polynomials._CAP)
+        assert len(sequence) == polynomials._CAP
+        for i, entry in enumerate(sequence):
             r, e = _prem(dickson(i).coeffs, b), max(i - d + 1, 0)
             while e and all(c % a == 0 for c in r):
                 r, e = [c // a for c in r], e - 1
@@ -502,17 +522,18 @@ def test_window_holds_the_dickson_polynomials_mod_b_in_lowest_terms():
     assert drops >= 3
 
 
-def test_lucas_mod_past_its_window_is_the_first_pseudo_remainder():
-    # the seed check above, at n around 4 * 2**W and 4 * 2**(W + 1) and in
-    # every residue mod 4, where j = n // 4 leaves the window by 0 to 2 bits
+def test_lucas_mod_past_its_cap_is_the_first_pseudo_remainder():
+    # the seed check above, at n around 2 * cap, where A_n first needs an
+    # entry past the cap, and around 4 * cap, where the ladder goes from one
+    # bit to two, in every residue mod 4
     import covercalc.polynomials as polynomials
 
-    W = polynomials._W
-    band = [n for c in (4 * 2**W, 4 * 2 ** (W + 1)) for n in range(c - 8, c + 12)]
+    cap = polynomials._CAP
+    band = [n for c in (2 * cap, 4 * cap) for n in range(c - 8, c + 8)]
     base, products = _palindromic_cases(random.Random(929))
     moduli = [D.coeffs if D.lc > 0 else tuple(-c for c in D.coeffs)
               for D in map(_trace_poly, base[::6] + products[::3])]
-    for b in moduli + _window_cases(random.Random(928))[-3:]:
+    for b in moduli + _dickson_cases(random.Random(928))[-3:]:
         a, d = b[-1], len(b) - 1
         for n in band:
             R, k = _lucas_mod(b, n)
@@ -520,16 +541,145 @@ def test_lucas_mod_past_its_window_is_the_first_pseudo_remainder():
             assert seed == _prem(half_a(n).coeffs, b), (b, n)
 
 
-def test_window_is_immutable_and_no_ladder_changes_it():
-    # tuples all through, so no caller can alter a cached entry and the
-    # collector can untrack them; a ladder far past the window leaves it
-    # equal to a fresh build
+def test_dickson_sequence_is_immutable_and_no_ladder_changes_it(monkeypatch):
+    # tuples all through, so no caller can alter a stored entry and the
+    # collector can untrack them; a ladder far past the cap leaves the
+    # stored sequence equal to a fresh build
+    import covercalc.polynomials as polynomials
+
     b = (-3, 2)  # D of 5_2, lc 2
-    window = _window(b)
-    assert type(window) is tuple
-    assert all(type(e) is tuple and type(e[0]) is tuple and type(e[1]) is int for e in window)
+    sequence = grown_sequence(b, polynomials._CAP)
+    assert polynomials._dickson(b)[0] is sequence and type(sequence) is tuple
+    assert all(type(e) is tuple and type(e[0]) is tuple and type(e[1]) is int for e in sequence)
     _lucas_mod(b, 10**5 + 3)
-    assert _window(b) is window and window == _window.__wrapped__(b)
+    assert polynomials._dickson(b)[0] is sequence
+    assert sequence == fresh_sequence(monkeypatch, b, polynomials._CAP)
+
+
+def test_lucas_mod_takes_no_product_inside_the_cap(monkeypatch):
+    # once the sequence holds V_(m+1), A_n is read off it with no product:
+    # asked in rising n it always does, and then inside the cap in any
+    # order; past the cap the ladder multiplies, which shows the counter
+    # counts
+    import covercalc.polynomials as polynomials
+
+    cap, calls, mul = polynomials._CAP, [0], polynomials._mul
+    moduli = _dickson_cases(random.Random(928))[::4]  # before the patch: it multiplies
+
+    def counting_mul(r, s):
+        calls[0] += 1
+        return mul(r, s)
+
+    monkeypatch.setattr(polynomials, "_mul", counting_mul)
+    for b in moduli:
+        for n in range(1, 2 * cap - 2):  # in rising n no call more than doubles the sequence
+            _lucas_mod(b, n)
+        for n in random.Random(930).sample(range(1, 2 * cap - 2), 100):
+            _lucas_mod(b, n)
+        assert calls[0] == 0, b
+    _lucas_mod(b, 2 * cap + 2)
+    assert calls[0] > 0
+
+
+def test_dickson_sequence_keeps_its_longest_tuple(monkeypatch):
+    # n = 400 asks for V_0 .. V_201: each call at most doubles the sequence
+    # and runs the ladder from what it holds, until it holds them; n = 10
+    # reads that tuple and stores nothing; the cap's edge, n = 2 * cap - 3
+    # inside it and the next past it, grows it to the cap and keeps every
+    # earlier entry
+    import covercalc.polynomials as polynomials
+
+    cap, b = polynomials._CAP, (5, -7, 2)
+    monkeypatch.setattr(polynomials, "_dickson", functools.lru_cache()(polynomials._dickson.__wrapped__))
+    answers, lengths = set(), []
+    for _ in range(8):
+        answers.add(_lucas_mod(b, 400))
+        lengths.append(len(polynomials._dickson(b)[0]))
+    assert lengths == [4, 8, 16, 32, 64, 128, 202, 202] and len(answers) == 1
+    first = polynomials._dickson(b)[0]
+    _lucas_mod(b, 10)
+    assert polynomials._dickson(b)[0] is first
+    for n in (2 * cap - 3, 2 * cap - 2, 10):
+        _lucas_mod(b, n)
+    last = polynomials._dickson(b)[0]
+    assert len(last) == cap and all(x is y for x, y in zip(first, last))
+    monkeypatch.undo()
+    assert last == fresh_sequence(monkeypatch, b, cap)
+
+
+def test_a_slower_grower_never_stores_a_shorter_sequence(monkeypatch):
+    # two threads read the same stored V_0, V_1; the one asking for fewer
+    # entries stalls inside its growth until the other has stored V_0 .. V_3,
+    # then stores its V_0 .. V_2: the longer tuple stays
+    import threading
+
+    import covercalc.polynomials as polynomials
+
+    b, sub = (5, -7, 2), polynomials._sub
+    monkeypatch.setattr(polynomials, "_dickson", functools.lru_cache()(polynomials._dickson.__wrapped__))
+    polynomials._dickson(b)  # V_0 and V_1, stored before either thread reads them
+    stalled, stored = threading.Event(), threading.Event()
+
+    def stalling_sub(*args):
+        if threading.current_thread().name == "slow":
+            stalled.set()
+            stored.wait(timeout=10)
+        return sub(*args)
+
+    monkeypatch.setattr(polynomials, "_sub", stalling_sub)
+    slow = threading.Thread(target=_sequence, args=(b, 3), name="slow")
+    slow.start()
+    assert stalled.wait(timeout=10)
+    longer = _sequence(b, 4)
+    stored.set()
+    slow.join(timeout=10)
+    assert not slow.is_alive()
+    assert len(longer) == 4 and polynomials._dickson(b)[0] is longer
+
+
+def test_dickson_sequence_never_shrinks_under_threads(monkeypatch):
+    # more threads than cores, switching every microsecond, each asking for
+    # the orders of the same moduli in its own order, from fresh sequences
+    # in each of four rounds: no thread sees a stored tuple shorter than it
+    # saw it last, every stored tuple is a prefix of a fresh build, and
+    # every answer is the one a single thread gets
+    import sys
+    import threading
+
+    import covercalc.polynomials as polynomials
+
+    cap, moduli = polynomials._CAP, [(5, -7, 2), (-3, 2), (1, 0, -3, 1)]
+    want = {(b, n): _lucas_mod(b, n) for b in moduli for n in range(1, 2 * cap + 40)}
+    faults = []
+
+    def ask(seed):
+        jobs = list(want)
+        random.Random(seed).shuffle(jobs)
+        seen = dict.fromkeys(moduli, 0)  # the longest stored tuple this thread saw
+        for b, n in jobs:
+            before = len(polynomials._dickson(b)[0])
+            answer = _lucas_mod(b, n)
+            after = len(polynomials._dickson(b)[0])
+            if answer != want[b, n] or not seen[b] <= before <= after:
+                faults.append((b, n))
+            seen[b] = after
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for first in range(0, 16, 4):
+            monkeypatch.setattr(polynomials, "_dickson", functools.lru_cache()(polynomials._dickson.__wrapped__))
+            threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(first, first + 4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            stored = {b: polynomials._dickson(b)[0] for b in moduli}
+            assert all(stored[b] == fresh_sequence(monkeypatch, b, len(stored[b])) for b in moduli)
+    finally:
+        sys.setswitchinterval(interval)
+    assert faults == []
 
 
 # ------------------------------------------------------- homology spheres
