@@ -156,7 +156,7 @@ def _read_samples(path: str) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"bad samples file {path}: {exc}") from None
     if not isinstance(raw, list):
         raise CliError(f"bad samples file {path}: expected a JSON array of {{n, count}} objects")
@@ -420,23 +420,23 @@ def run(argv, out=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "render":
-            if args.file == "-":
-                text = sys.stdin.read()
-            else:
-                try:
+            try:
+                if args.file == "-":
+                    text = sys.stdin.read()
+                else:
                     with open(args.file, encoding="utf-8") as fh:
                         text = fh.read()
-                except OSError as exc:
-                    raise CliError(f"cannot read {args.file}: {exc}") from None
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CliError(f"cannot read {args.file}: {exc}") from None
             try:
                 payload = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CliError(f"invalid JSON payload: {exc}") from None
             if not isinstance(payload, dict):
                 raise CliError(f"payload must be a JSON object, got {type(payload).__name__}")
             try:
                 view = render_text(payload)
-            except (KeyError, TypeError, AttributeError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise CliError(
                     f"malformed {payload.get('command')!r} payload: "
                     f"{type(exc).__name__}: {exc}"

@@ -260,7 +260,7 @@ def load_table(document) -> KnotTable:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
             raise KnotTableError(f"invalid JSON: {exc}") from None
     if not isinstance(document, list):
         raise KnotTableError("knot table must be a JSON array of objects")

@@ -14,9 +14,10 @@ the degree-d trace polynomial D of a palindromic polynomial of degree 2d
 (``_trace_poly``), reduce a Dickson-polynomial combination A mod D
 (``_lucas_mod``: the difference of two entries of a per-modulus sequence of
 the Dickson polynomials mod D, ``_sequence``, grown on demand up to a cap,
-and past what it holds a Lucas ladder started from it, its products
-pseudo-reduced by one row table per modulus in ``_reduce``) and run one
-subresultant chain (``_subresultant``) of degree d.
+and past what it holds a Lucas ladder started from it; every step and
+product is pseudo-reduced in ``_reduce`` by ``_prem``, the chain's own
+pseudo-division) and run one subresultant chain (``_subresultant``) of
+degree d.
 Bareiss elimination is the package's only determinant; ``resultant`` never
 calls it.  ``_bareiss_det`` gives the Seifert polynomial det(V - tV^T) of a
 2g-square V from its g + 1 values at t = 0..g, and ``_adjugate`` solves for
@@ -192,35 +193,15 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return r
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _rows(b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # row j = a**(j+1) x**(d+j) mod b, j <= d = deg b, a = lc(b): row 0 is
-    # a x**d - b, row j + 1 is a x row_j with its x**d term c taken as c row_0
-    rows = [[-c for c in b[:-1]]]
-    for _ in b[1:]:
-        rows.append([b[-1] * x + rows[-1][-1] * y for x, y in zip([0] + rows[-1][:-1], rows[0])])
-    return tuple(map(tuple, rows))
-
-
 def _reduce(r: list[int], k: int, b: tuple[int, ...]) -> tuple[list[int], int]:
     # (R, j) with R / a**j = (r / a**k) mod b over Q in lowest terms, R stripped,
-    # deg R < deg b, for a = lc(b) and deg r <= 2 deg b; r is consumed.  One pass
-    # over _rows(b) gives a**e r mod b, e = deg r - deg b + 1: a**e r_i plus
-    # a**(e-1-j) r_(d+j) row_j[i] for j < e; e is added to k, and the powers
-    # of a common to every coefficient are divided back out, at most k of them
+    # deg R < deg b, for a = lc(b); r is consumed.  _prem gives a**e r mod b,
+    # e = len(r) - deg b; e is added to k, and the powers of a common to every
+    # coefficient are divided back out, at most k of them
     d, a = len(b) - 1, b[-1]
     if len(r) > d:
         k += len(r) - d
-        p = a ** (len(r) - d)
-        out = r[:d] if p == 1 else [p * x for x in r[:d]]
-        for c, row in zip(r[d:], _rows(b)):
-            if a != 1:
-                p //= a
-                c *= p
-            if c:
-                for i, y in enumerate(row):
-                    out[i] += c * y
-        r = out
+        r = _prem(r, b)
     while r and r[-1] == 0:
         r.pop()
     if a == 1:
@@ -269,7 +250,7 @@ _grown = threading.Lock()
 def _sub(r, kr, s, ks, b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     # (R, k) with R / a**k = r / a**kr - s / a**ks mod b in lowest terms, for
     # deg r, deg s <= deg b and a = lc(b); V_(i+1) = x V_i - V_(i-1) is
-    # _sub((0, *R_i), k_i, R_(i-1), k_(i-1), b): a shift and one row of _rows(b)
+    # _sub((0, *R_i), k_i, R_(i-1), k_(i-1), b): a shift and one _prem step
     k = max(kr, ks)
     p, q = b[-1] ** (k - kr), b[-1] ** (k - ks)
     R, k = _reduce([p * x - q * y for x, y in zip_longest(r, s, fillvalue=0)], k, b)
@@ -318,20 +299,20 @@ def _lucas_mod(b: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     since R / a**k with k minimal is unique.
 
     Cost model (2-vCPU Xeon VM, Python 3.11, the 36 cover-sweep moduli of
-    degree 1..7): a growth step is about 5 us on average up to the cap, a
-    ladder bit about 20 us.  An entry is one step, once per modulus, and
-    saves each later order at that m its ladder, log2 m bits from V_1, so
-    traffic that asks for every n of a knot repays any cap.  What bounds
-    the cap is the sequence itself: it holds O(_CAP**2 deg b) bits, 86 KB
-    at degree 7 and _CAP = 2**8 + 2, four times that per doubling of the
-    cap.  2**8 + 2 holds every order with n <= 2**9 + 1, ``cover --n
-    1..400`` among them; past it each doubling of n costs one bit.  The
-    doubling rule bounds the growth one order pays by what the sequence
-    already holds: grown to any m asked, a modulus put up to 1.3 ms of
-    build into a single order, and a cold cover-sweep pass (gc off) had
-    14-36 orders over 0.5 ms against 3-11 at a fixed 34-entry window;
-    doubled, 4-11.  It costs a few ladders per modulus, while the sequence
-    is short.
+    degree 1..7): a growth step is about 4 us on average up to the cap, a
+    ladder bit from (V_128, V_129) about 16 us.  An entry is one step, once
+    per modulus, and saves each later order at that m its ladder, log2 m
+    bits from V_1, so traffic that asks for every n of a knot repays any
+    cap.  What bounds the cap is the sequence itself: it holds
+    O(_CAP**2 deg b) bits, 86 KB at degree 7 and _CAP = 2**8 + 2, four
+    times that per doubling of the cap.  2**8 + 2 holds every order with
+    n <= 2**9 + 1, ``cover --n 1..400`` among them; past it each doubling
+    of n costs one bit.  The doubling rule bounds the growth one order
+    pays by what the sequence already holds: grown to any m asked, a
+    modulus put up to 1.3 ms of build into a single order, and a cold
+    cover-sweep pass (gc off) had 14-36 orders over 0.5 ms against 3-11 at
+    a fixed 34-entry window; doubled, 4-11.  It costs a few ladders per
+    modulus, while the sequence is short.
     """
     a, m, j = b[-1], n // 2, n // 2 - 1
     seq = _sequence(b, min(m + 2, _CAP))

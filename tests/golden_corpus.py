@@ -1,15 +1,22 @@
-"""The golden CLI corpus: one sha256 per command line, in ``golden/*.sha256``.
+"""The golden CLI corpus: one record per command line, in ``golden/``.
 
 Each command line runs in process through ``cli.run`` over the bundled
 table, from the repository root, so a file argument is a path relative to
-it (the ``samples_*.json`` files beside the corpus); its digest is the
-sha256 of the JSON text of [exit code, stdout, stderr].  The lines of the
+it (the ``samples_*.json`` files beside the corpus).  The lines of the
 ``main`` slice run instead through ``main()`` in a subprocess, where an
-argument ``<`` feeds the file after it on stdin.  A line of a corpus file
-is ``<digest>  <command line>``.
+argument ``<`` feeds the file after it on stdin.
 
-    python tests/golden_corpus.py          # print the lines whose output changed;
-                                           # exit 1 if there are any
+A slice's record of a command line is the sha256 of the JSON text of
+[exit code, stdout, stderr], kept in ``golden/<slice>.sha256`` as lines
+``<digest>  <command line>``.  The slices in ``TEXT`` keep instead the exit
+code and the full stderr, so a changed message shows its old and new text:
+``golden/<slice>.txt`` holds for each command line a line ``$ <command
+line>``, a line ``exit <code>`` and the stderr lines.  Their command lines
+print nothing on stdout; one that does reads as changed.
+
+    python tests/golden_corpus.py          # print the lines whose output changed,
+                                           # with the old and new text of a TEXT
+                                           # slice; exit 1 if there are any
     python tests/golden_corpus.py --write  # rewrite the corpus files
 
 A change that alters CLI output rewrites the corpus and lists the printed
@@ -23,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -111,6 +119,7 @@ def main_commands() -> list[list[str]]:
     return [cover, [*cover, "--json"], ["render", "-", "<", "tests/golden/record_cover_3_1.json"]]
 
 
+TEXT = ("errors",)
 CORPUS = {
     "cover": cover_commands,
     "obstruct": obstruct_commands,
@@ -122,11 +131,7 @@ CORPUS = {
 }
 
 
-def _sha(code: int, out: str, err: str) -> str:
-    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
-
-
-def digest(argv: list[str]) -> str:
+def outcome(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -135,10 +140,10 @@ def digest(argv: list[str]) -> str:
             code = cli.run(argv, out=out)
     finally:
         os.chdir(cwd)
-    return _sha(code, out.getvalue(), err.getvalue())
+    return code, out.getvalue(), err.getvalue()
 
 
-def main_digest(argv: list[str]) -> str:
+def main_outcome(argv: list[str]) -> tuple[int, str, str]:
     stdin = None
     if "<" in argv:
         argv, stdin = argv[:-2], (ROOT / argv[-1]).read_bytes()
@@ -147,33 +152,45 @@ def main_digest(argv: list[str]) -> str:
         [sys.executable, "-m", "covercalc.cli", *argv], input=stdin, capture_output=True,
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
-    return _sha(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
-def _digest(name: str):
-    return main_digest if name == "main" else digest
+def record(name: str, argv: list[str]) -> str:
+    """The record of a command line in a slice, as its file keeps it."""
+    code, out, err = (main_outcome if name == "main" else outcome)(argv)
+    if name in TEXT:
+        return f"exit {code}\n{err}" + (f"stdout: {out!r}\n" if out else "")
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+def _path(name: str) -> Path:
+    return GOLDEN / f"{name}.{'txt' if name in TEXT else 'sha256'}"
 
 
 def read(name: str) -> dict[str, str]:
-    """Command line -> digest, as stored."""
-    path = GOLDEN / f"{name}.sha256"
-    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
-    return {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in lines}
+    """Command line -> record, as stored."""
+    path = _path(name)
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    if name in TEXT:
+        entries = re.split(r"^\$ ", text, flags=re.M)[1:]
+        return dict(entry.split("\n", 1) for entry in entries)
+    return {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in text.splitlines()}
 
 
 def changed(name: str) -> list[str]:
-    """The command lines of a corpus whose digest differs from the stored one,
+    """The command lines of a slice whose record differs from the stored one,
     in corpus order, then the stored lines no longer in the corpus."""
     stored, argvs = read(name), CORPUS[name]()
     lines = [shlex.join(argv) for argv in argvs]
-    out = [line for line, argv in zip(lines, argvs) if stored.get(line) != _digest(name)(argv)]
+    out = [line for line, argv in zip(lines, argvs) if stored.get(line) != record(name, argv)]
     return out + [line for line in stored if line not in lines]
 
 
 def write(name: str) -> None:
     GOLDEN.mkdir(exist_ok=True)
-    text = "".join(f"{_digest(name)(argv)}  {shlex.join(argv)}\n" for argv in CORPUS[name]())
-    (GOLDEN / f"{name}.sha256").write_text(text, encoding="utf-8")
+    lines = ((shlex.join(argv), record(name, argv)) for argv in CORPUS[name]())
+    form = "$ {0}\n{1}" if name in TEXT else "{1}  {0}\n"
+    _path(name).write_text("".join(form.format(*line) for line in lines), encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -181,7 +198,15 @@ def main(argv: list[str]) -> int:
         for name in CORPUS:
             write(name)
         return 0
-    lines = [f"{name}: {line}" for name in CORPUS for line in changed(name)]
+    lines = []
+    for name in CORPUS:
+        stored, argvs = read(name), {shlex.join(argv): argv for argv in CORPUS[name]()}
+        for line in changed(name):
+            lines.append(f"{name}: {line}")
+            if name in TEXT:
+                new = record(name, argvs[line]) if line in argvs else ""
+                lines += [f"  - {x}" for x in stored.get(line, "").splitlines()]
+                lines += [f"  + {x}" for x in new.splitlines()]
     print("\n".join(lines) or "no line changed")
     return 1 if lines else 0
 

@@ -511,6 +511,12 @@ def test_render_of_an_unreadable_file_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "absent.json"
     assert capture(["render", str(path)]) == (2, "")
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: [Errno 2] ")
+    path.write_bytes(b"\xff\xfe")
+    assert capture(["render", str(path)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -526,3 +532,62 @@ def test_render_malformed_payload_is_a_data_error(tmp_path, capsys, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"command": "bounds", "knot": "3_1", "genus": 1, "delta": 3, "gromov_norm_bound": "a",
+          "fiber_chi": -1, "dilatation": None},
+         "malformed 'bounds' payload: ValueError: Unknown format code 'f' for object of type 'str'"),
+        ({"command": "obstruct", "report": {"candidate": ["3_1"]}},
+         "malformed 'obstruct' payload: ValueError: not enough values to unpack (expected 2, got 1)"),
+    ],
+    ids=["bounds", "obstruct"],
+)
+def test_render_labels_a_payload_its_renderer_rejects(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert capture(["render", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+DEEP = "[" * 100000  # json raises RecursionError, not a JSONDecodeError
+HUGE = "[1%s]" % ("0" * 5000)  # past the default int <-> str limit: a plain ValueError
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5001 "
+            "digits; use sys.set_int_max_str_digits() to increase the limit")
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (DEEP, ["render", "F"], f"invalid JSON payload: {TOO_DEEP}"),
+        (HUGE, ["render", "F"], f"invalid JSON payload: {TOO_LONG}"),
+        (DEEP, ["table", "list", "--table", "F"], f"invalid JSON: {TOO_DEEP}"),
+        (DEEP, ["table", "list"], f"invalid JSON: {TOO_DEEP}"),
+        (HUGE, ["table", "list", "--table", "F"], f"invalid JSON: {TOO_LONG}"),
+        (DEEP, ["bounds", "4_1", "--samples", "F"], f"bad samples file F: {TOO_DEEP}"),
+    ],
+    ids=["render-deep", "render-huge", "table-deep", "env-table-deep", "table-huge", "samples-deep"],
+)
+def test_json_that_json_rejects_without_a_decode_error_is_a_data_error(
+    tmp_path, capsys, monkeypatch, doc, argv, message
+):
+    # a file of JSON nested too deep to decode, or holding an int too long to
+    # convert; `table list` with no --table reads it through COVERCALC_TABLE
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no limit on int <-> str conversion")
+    (tmp_path / "F").write_text(doc)
+    monkeypatch.chdir(tmp_path)
+    if argv == ["table", "list"]:
+        monkeypatch.setenv("COVERCALC_TABLE", "F")
+    else:
+        monkeypatch.delenv("COVERCALC_TABLE", raising=False)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, which only main() lifts
+    try:
+        assert capture(argv) == (2, "")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().err == f"error: {message}\n"

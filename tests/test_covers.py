@@ -454,21 +454,25 @@ def test_a_mod_d_that_loses_its_top_coefficient():
     assert order_from_tilde(f, 15).order == prs_order(f, 15) > 0
 
 
-def test_row_table_pseudo_remainder_equals_prem():
-    # _reduce pseudo-reduces by the row table: the remainder it returns,
-    # times the powers of lc(b) it divided out, is _prem's list
+def test_reduce_is_prem_in_lowest_terms():
+    # (R, j) = _reduce(r, k, b) is r / a**k mod b for a = lc(b): R times the
+    # powers of a it divided out is _prem's list, for r of any length up to
+    # 3 deg b + 2 and carried powers k; and j is minimal, 0 or with a not
+    # dividing the content of R
     rng = random.Random(927)
     for lc in (1, -1, 2, 3, -4):
         for d in range(1, 9):
             for _ in range(5):
                 b = tuple(rng.randint(-9, 9) for _ in range(d)) + (lc,)
-                for size in range(2 * d + 2):
+                for size in range(3 * d + 3):
                     r = [rng.randint(-99, 99) for _ in range(size)]
                     if r and not r[-1]:
                         r[-1] = 1
-                    R, k = _reduce(list(r), 0, b)
-                    e = max(size - d, 0)
-                    assert [lc ** (e - k) * c for c in R] == _prem(r, b), (r, b)
+                    for k in (0, 1, 3):
+                        R, j = _reduce(list(r), k, b)
+                        e = max(size - d, 0)
+                        assert [lc ** (k + e - j) * c for c in R] == _prem(r, b), (r, k, b)
+                        assert j == 0 or math.gcd(*R) % lc != 0, (r, k, b)
 
 
 def _dickson_cases(rng):

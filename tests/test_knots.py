@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -317,6 +318,27 @@ def test_load_table_rejects_duplicates_and_junk():
     )
     with pytest.raises(KnotTableError, match="array"):
         load_table({"name": "a"})
+
+
+def test_load_table_maps_every_json_failure_to_a_table_error():
+    # json raises RecursionError on nesting too deep, and a plain ValueError
+    # on an int past the int <-> str limit, neither a JSONDecodeError
+    with pytest.raises(KnotTableError) as err:
+        load_table("[" * 100000)
+    assert str(err.value) == (
+        "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a "
+        "unicode string"
+    )
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, which only main() lifts
+    try:
+        with pytest.raises(KnotTableError) as err:
+            load_table('[{"name": "a", "alexander": [1%s], "fibered": false}]' % ("0" * 5000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(err.value).startswith("invalid JSON: Exceeds the limit (4300 digits) ")
 
 
 def test_knot_validation_direct():

@@ -1,4 +1,5 @@
-"""The command-line examples of README.md, compared as full text.
+"""README.md against the code: its command-line examples, compared as full
+text, and its table of memo caches.
 
 In a README code block, a line ``$ covercalc ARGS`` is an example, and the
 lines after it, up to a blank line or the next ``$`` line, are its output.
@@ -8,13 +9,16 @@ Each runs in process through ``cli.run`` over the bundled table.
 """
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import covercalc
 from covercalc.cli import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,3 +60,15 @@ def test_readme_example_prints_what_the_readme_shows(command, expected, monkeypa
     assert re.fullmatch(pattern, text), text
     assert err.getvalue() == ""
     assert command.endswith(ECHO) or code == 0
+
+
+def test_readme_cache_table_names_every_memo_cache():
+    # each module-level lru_cache of the package by its own function name,
+    # and the cover-order dict
+    text = README.read_text(encoding="utf-8")
+    start = text.index("| invariant | computed by | key |")
+    named = set(re.findall(r"`([^`]+)`", text[start:text.index("\n\n", start)]))
+    modules = [importlib.import_module(f"covercalc.{m.name}") for m in pkgutil.iter_modules(covercalc.__path__)]
+    caches = {name for module in modules for name, f in vars(module).items()
+              if hasattr(f, "cache_info") and f.__module__ == module.__name__}
+    assert len(caches) == 12 and caches | {"_orders"} <= named, caches - named
